@@ -5,9 +5,7 @@
 
 #include "bench/experiment_registry.hpp"
 
-#include <atomic>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -22,7 +20,6 @@
 #include "problems/synthetic.hpp"
 #include "problems/synthetic_lanes.hpp"
 #include "runtime/par_partition.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/work_stealing.hpp"
 #include "stats/alloc_stats.hpp"
 
@@ -304,68 +301,6 @@ void BM_SplitProcessors(benchmark::State& state) {
   }
 }
 
-// Task-submission cost of the ThreadPool, batched so queue/wake effects
-// amortize like in the experiment engine.  Since the move-only
-// UniqueFunction rewrite each submit_task costs exactly two allocations
-// (the future's shared state + the heap-stored closure -- promise makes it
-// larger than the SBO buffer); the old shared_ptr<packaged_task> wrapper
-// paid three plus two atomic refcount bumps per hop.  allocs_per_op pins
-// the new number.
-void BM_ThreadPoolSubmitTask(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  lbb::runtime::ThreadPool pool(1);
-  std::vector<std::future<std::uint64_t>> futures;
-  futures.reserve(batch);
-  const auto before = lbb::stats::alloc_stats();
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch; ++i) {
-      futures.push_back(pool.submit_task([i] {
-        return static_cast<std::uint64_t>(i) * 2654435761u;
-      }));
-    }
-    std::uint64_t sum = 0;
-    for (auto& f : futures) sum += f.get();
-    benchmark::DoNotOptimize(sum);
-    futures.clear();
-  }
-  const auto delta = lbb::stats::alloc_stats() - before;
-  const auto ops =
-      static_cast<double>(state.iterations()) * static_cast<double>(batch);
-  if (ops > 0.0) {
-    state.counters["allocs_per_op"] =
-        static_cast<double>(delta.count) / ops;
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch));
-}
-
-// Move-only fire-and-forget path (no future): one heap allocation per task
-// when the closure outgrows the SBO buffer, zero when it fits.
-void BM_ThreadPoolSubmitInline(benchmark::State& state) {
-  const auto batch = static_cast<std::size_t>(state.range(0));
-  lbb::runtime::ThreadPool pool(1);
-  std::atomic<std::uint64_t> sink{0};
-  const auto before = lbb::stats::alloc_stats();
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch; ++i) {
-      pool.submit([&sink, i] {
-        sink.fetch_add(i, std::memory_order_relaxed);
-      });
-    }
-    pool.wait_idle();
-    benchmark::DoNotOptimize(sink.load());
-  }
-  const auto delta = lbb::stats::alloc_stats() - before;
-  const auto ops =
-      static_cast<double>(state.iterations()) * static_cast<double>(batch);
-  if (ops > 0.0) {
-    state.counters["allocs_per_op"] =
-        static_cast<double>(delta.count) / ops;
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(batch));
-}
-
 // Work-stealing parallel BA over a warm single-worker pool: the same
 // contract as BM_BaPartitionWorkspace (allocs_per_op == 0 steady-state,
 // asserted by the perf gate) plus the runtime's spawn/terminal overhead.
@@ -434,12 +369,6 @@ void register_micro_core_benchmarks() {
       ->Range(256, 1 << 13);
   benchmark::RegisterBenchmark("BM_GridBisect", BM_GridBisect);
   benchmark::RegisterBenchmark("BM_SplitProcessors", BM_SplitProcessors);
-  benchmark::RegisterBenchmark("BM_ThreadPoolSubmitTask",
-                               BM_ThreadPoolSubmitTask)
-      ->Arg(256);
-  benchmark::RegisterBenchmark("BM_ThreadPoolSubmitInline",
-                               BM_ThreadPoolSubmitInline)
-      ->Arg(256);
   benchmark::RegisterBenchmark("BM_ParBaPartitionWorkspace",
                                BM_ParBaPartitionWorkspace)
       ->RangeMultiplier(8)

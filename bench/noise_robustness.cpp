@@ -10,7 +10,6 @@
 // noise band.
 #include <algorithm>
 #include <iostream>
-#include <optional>
 #include <vector>
 
 #include "bench/bench_cli.hpp"
@@ -21,7 +20,7 @@
 #include "problems/noisy_weight.hpp"
 #include "problems/synthetic.hpp"
 #include "runtime/parallel_for.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/work_stealing.hpp"
 #include "stats/rng.hpp"
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
@@ -40,10 +39,9 @@ int lbb::bench::run_noise_robustness(int argc, char** argv) {
             << ", alpha-hat ~ " << dist.describe() << ", " << trials
             << " trials; entries are average *true* ratios\n\n";
 
-  std::optional<runtime::ThreadPool> pool;
-  if (threads > 1) pool.emplace(static_cast<unsigned>(threads));
-  // Fixed chunking + in-order merge: results match the sequential loop
-  // bit-for-bit at any thread count (same scheme as src/experiments).
+  runtime::WorkStealingPool pool(static_cast<unsigned>(std::max(threads, 1)));
+  // Fixed chunking + in-order merge: results are bit-identical at any
+  // thread count (same scheme as src/experiments).
   constexpr std::int64_t kChunk = 8;
 
   stats::TextTable table;
@@ -70,14 +68,7 @@ int lbb::bench::run_noise_robustness(int argc, char** argv) {
       hf_chunk[static_cast<std::size_t>(chunk)] = hf_local;
       ba_chunk[static_cast<std::size_t>(chunk)] = ba_local;
     };
-    if (pool) {
-      runtime::parallel_for_chunks(*pool, 0, trials, kChunk, run_chunk);
-    } else {
-      std::int64_t chunk = 0;
-      for (std::int64_t lo = 0; lo < trials; lo += kChunk, ++chunk) {
-        run_chunk(chunk, lo, std::min<std::int64_t>(lo + kChunk, trials));
-      }
-    }
+    runtime::parallel_for_chunks(pool, 0, trials, kChunk, run_chunk);
     stats::RunningStats hf, ba;
     for (std::int64_t c = 0; c < chunks; ++c) {
       hf.merge(hf_chunk[static_cast<std::size_t>(c)]);

@@ -15,7 +15,7 @@
 #include "core/lbb.hpp"
 #include "problems/fe_tree.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/work_stealing.hpp"
 #include "stats/table.hpp"
 
 namespace {
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nExecuting the element assembly on a thread pool ("
             << procs << " workers)...\n";
-  runtime::ThreadPool pool(static_cast<unsigned>(procs));
+  runtime::WorkStealingPool pool(static_cast<unsigned>(procs));
   const auto report =
       runtime::execute_partition(hf, pool, assemble_elements);
   std::cout << "realized imbalance (max busy / mean busy): "

@@ -12,7 +12,7 @@
 #include "core/lbb.hpp"
 #include "problems/backtrack.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/work_stealing.hpp"
 #include "stats/table.hpp"
 
 int main(int argc, char** argv) {
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   table.set_header({"proc", "fixed rows", "tree leaves", "solutions"});
   std::atomic<long long> total_solutions{0};
 
-  runtime::ThreadPool pool(static_cast<unsigned>(procs));
+  runtime::WorkStealingPool pool(static_cast<unsigned>(procs));
   const auto report = runtime::execute_partition(
       part, pool, [&total_solutions](const problems::BacktrackProblem& piece) {
         total_solutions.fetch_add(piece.count_solutions());

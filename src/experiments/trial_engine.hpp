@@ -4,13 +4,17 @@
 // Monte-Carlo trials out in FIXED chunks of kTrialChunk trials and reduce
 // per-chunk statistics in ascending chunk order, which is what makes every
 // reported number byte-identical for any --threads setting.  TrialEngine
-// owns the shared mechanics -- worker-count resolution, the optional thread
-// pool, the optional wall-clock deadline, and the chunk dispatch loop -- so
-// the engines only supply the per-chunk body.
+// owns the shared mechanics -- worker-count resolution, the optional
+// work-stealing pool, the optional wall-clock deadline, and the chunk
+// dispatch loop -- so the engines only supply the per-chunk body.
 //
 // The body runs concurrently on worker threads; it must write its results
 // into chunk-indexed slots (or merge into order-independent integer
 // accumulators) and use ensure_alive() between trials for cancellation.
+//
+// The pool is private to the engine, never runtime::shared_pool(): a chunk
+// body that calls a par:* partitioner blocks on shared_pool's join, which
+// is only legal from a thread that is not a worker of that same pool.
 #pragma once
 
 #include <algorithm>
@@ -22,7 +26,7 @@
 #include "core/run_context.hpp"
 #include "experiments/ratio_experiment.hpp"
 #include "runtime/parallel_for.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/work_stealing.hpp"
 
 namespace lbb::experiments::detail {
 
@@ -76,7 +80,7 @@ class TrialEngine {
 
  private:
   std::optional<std::chrono::steady_clock::time_point> deadline_;
-  std::optional<lbb::runtime::ThreadPool> pool_;
+  std::optional<lbb::runtime::WorkStealingPool> pool_;
 };
 
 }  // namespace lbb::experiments::detail

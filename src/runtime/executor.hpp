@@ -5,13 +5,14 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "core/partition.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/parallel_for.hpp"
+#include "runtime/work_stealing.hpp"
 
 namespace lbb::runtime {
 
@@ -37,46 +38,41 @@ struct ExecutionReport {
   }
 };
 
-/// Runs `work(piece.problem)` for every piece on `pool`, attributing busy
-/// time to the piece's assigned processor.  `work` must be thread-safe.
+/// Runs `work(piece.problem)` for every piece on `pool` (one
+/// parallel_for_chunks chunk per piece), attributing busy time to the
+/// piece's assigned processor.  `work` must be thread-safe.  If any call
+/// throws, the lowest-indexed piece's exception is rethrown after all
+/// pieces ran.
 template <lbb::core::Bisectable P, typename Work>
 ExecutionReport execute_partition(const lbb::core::Partition<P>& partition,
-                                  ThreadPool& pool, Work work) {
+                                  WorkStealingPool& pool, Work work) {
   if (partition.pieces.empty()) {
     throw std::invalid_argument("execute_partition: empty partition");
   }
-  ExecutionReport report;
-  report.processor_busy.assign(
-      static_cast<std::size_t>(partition.processors), 0.0);
-  std::vector<std::atomic<double>> busy(
-      static_cast<std::size_t>(partition.processors));
-  for (auto& b : busy) b.store(0.0);
-
+  // Per-piece slots, summed per processor after the join: no shared
+  // accumulator, and multi-piece processors are handled for free.
+  std::vector<double> piece_seconds(partition.pieces.size(), 0.0);
   const auto wall_start = std::chrono::steady_clock::now();
-  for (const auto& piece : partition.pieces) {
-    const auto proc = static_cast<std::size_t>(piece.processor);
-    const P* problem = &piece.problem;
-    pool.submit([problem, proc, &busy, &work] {
-      const auto start = std::chrono::steady_clock::now();
-      work(*problem);
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - start;
-      // One piece per processor id: a plain store would do, but keep the
-      // accumulation robust to future multi-piece assignments.
-      // seq_cst (free for RMW on x86): non-seq_cst orders are confined
-      // to runtime/work_stealing.cpp by the lbb-lint memory-order rule.
-      double expected = busy[proc].load();
-      while (!busy[proc].compare_exchange_weak(
-          expected, expected + elapsed.count())) {
-      }
-    });
-  }
-  pool.wait_idle();
+  parallel_for_chunks(
+      pool, 0, static_cast<std::int64_t>(partition.pieces.size()), 1,
+      [&](std::int64_t index, std::int64_t, std::int64_t) {
+        const auto i = static_cast<std::size_t>(index);
+        const auto start = std::chrono::steady_clock::now();
+        work(partition.pieces[i].problem);
+        piece_seconds[i] = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+      });
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - wall_start;
+
+  ExecutionReport report;
   report.wall_seconds = wall.count();
-  for (std::size_t i = 0; i < busy.size(); ++i) {
-    report.processor_busy[i] = busy[i].load();
+  report.processor_busy.assign(
+      static_cast<std::size_t>(partition.processors), 0.0);
+  for (std::size_t i = 0; i < piece_seconds.size(); ++i) {
+    report.processor_busy[static_cast<std::size_t>(
+        partition.pieces[i].processor)] += piece_seconds[i];
   }
   return report;
 }

@@ -45,11 +45,12 @@
 // by processor range so the partition is byte-identical to the sequential
 // algorithms regardless of thread count or steal order.
 //
-// Unlike ThreadPool (thread_pool.hpp), which serves coarse fire-and-forget
-// tasks and future-returning submissions, this pool serves exactly one
-// shape of work -- allocation-free recursive partition jobs with a
-// per-call join -- and multiple jobs from distinct caller threads may run
-// concurrently (per-job join state; no pool-wide wait_idle()).
+// This is the library's only thread pool.  It serves one shape of work --
+// fork-join jobs with a per-call join: the recursive partition jobs of
+// par_partition.hpp and the chunked loops of parallel_for.hpp (trial
+// chunks, partition execution) -- and multiple jobs from distinct caller
+// threads may run concurrently (per-job join state; no pool-wide idle
+// wait).
 #pragma once
 
 #include <atomic>

@@ -5,6 +5,7 @@
 #include "core/run_context.hpp"
 #include "experiments/ratio_experiment.hpp"
 #include "experiments/timing_experiment.hpp"
+#include "runtime/par_partitioners.hpp"
 
 namespace lbb::experiments {
 namespace {
@@ -212,6 +213,30 @@ TEST(RatioExperimentParallel, CsvBytesIdenticalAcrossThreadCounts) {
   EXPECT_EQ(bytes1, bytes8);
   std::remove(path1.c_str());
   std::remove(path8.c_str());
+}
+
+TEST(RatioExperimentParallel, ParBaInsideTrialChunksIsThreadInvariant) {
+  // Trial chunks run on the engine's pool workers and par:ba blocks on
+  // runtime::shared_pool's join from there.  That is only legal because
+  // the engine's pool is private: were it shared_pool itself (threads = 0
+  // resolves both to the hardware count), the nested call would throw.
+  // The CSV must match the sequential engine byte for byte.
+  lbb::runtime::register_par_partitioners();
+  const auto csv = [](std::int32_t threads) {
+    auto config = threaded_config(threads);
+    config.algos = {"par:ba"};
+    config.log2_n = {5, 8};
+    const std::string path = ::testing::TempDir() + "/lbb_par_ba_t" +
+                             std::to_string(threads) + ".csv";
+    write_ratio_csv(run_ratio_experiment(config), path);
+    std::string bytes = slurp(path);
+    std::remove(path.c_str());
+    return bytes;
+  };
+  const std::string base = csv(1);
+  ASSERT_FALSE(base.empty());
+  EXPECT_EQ(csv(4), base);
+  EXPECT_EQ(csv(0), base);
 }
 
 TEST(RatioExperimentParallel, HardwareThreadsKnobAccepted) {

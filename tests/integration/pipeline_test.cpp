@@ -11,8 +11,8 @@
 #include "problems/backtrack.hpp"
 #include "problems/fe_tree.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/parallel_ba.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/par_partition.hpp"
+#include "runtime/work_stealing.hpp"
 #include "sim/par_ba.hpp"
 #include "sim/phf.hpp"
 
@@ -59,11 +59,12 @@ TEST(Pipeline, FemWorkloadEndToEnd) {
   EXPECT_LT(phf_big.metrics.makespan, 2.0 * (big - 1));
 
   // 5. The parallel partitioner agrees with sequential BA.
-  runtime::ThreadPool pool(4);
-  const auto par_ba = runtime::parallel_ba_partition(root, n, pool);
+  runtime::WorkStealingPool pool(4);
+  const auto par_ba = runtime::par_ba_partition(pool, root, n);
   EXPECT_TRUE(core::same_weights(par_ba, ba, 0.0));
 
-  // 6. Executing the partition does all the work exactly once.
+  // 6. Executing the partition (on the same pool) does all the work
+  //    exactly once.
   std::atomic<long long> elements{0};
   static_cast<void>(runtime::execute_partition(
       hf, pool, [&elements](const problems::FeTreeProblem& piece) {
@@ -79,7 +80,7 @@ TEST(Pipeline, SearchWorkloadEndToEnd) {
   ASSERT_TRUE(part.validate());
 
   // Solutions found in parallel equal the known 9-queens count.
-  runtime::ThreadPool pool(3);
+  runtime::WorkStealingPool pool(3);
   std::atomic<long long> solutions{0};
   const auto report = runtime::execute_partition(
       part, pool, [&solutions](const problems::BacktrackProblem& piece) {

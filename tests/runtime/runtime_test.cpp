@@ -1,85 +1,25 @@
-// Tests for the thread pool and the real-thread partition executor.
+// Tests for the chunked fork-join loop on the work-stealing pool and the
+// real-thread partition executor built on it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <stdexcept>
-#include <thread>
+#include <string>
+#include <vector>
 
 #include "core/hf.hpp"
 #include "problems/alpha_dist.hpp"
 #include "problems/synthetic.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/parallel_for.hpp"
+#include "runtime/work_stealing.hpp"
 
 namespace lbb::runtime {
 namespace {
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPool) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
-}
-
-TEST(ThreadPool, PropagatesTaskException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The pool stays usable afterwards.
-  std::atomic<int> counter{0};
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, RejectsEmptyTask) {
-  ThreadPool pool(1);
-  EXPECT_THROW(pool.submit(nullptr), std::invalid_argument);
-}
-
-TEST(ThreadPool, RejectsZeroThreads) {
-  EXPECT_THROW(ThreadPool(0), std::invalid_argument);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        counter.fetch_add(1);
-      });
-    }
-  }  // destructor joins after draining
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, ConcurrentSubmitters) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::thread> submitters;
-  for (int s = 0; s < 4; ++s) {
-    submitters.emplace_back([&pool, &counter] {
-      for (int i = 0; i < 200; ++i) {
-        pool.submit([&counter] { counter.fetch_add(1); });
-      }
-    });
-  }
-  for (auto& t : submitters) t.join();
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 800);
-}
 
 TEST(Executor, BusyTimesTrackWeights) {
   using lbb::problems::AlphaDistribution;
@@ -89,7 +29,7 @@ TEST(Executor, BusyTimesTrackWeights) {
   // One worker: serial execution removes same-pool contention; external
   // load can still stretch individual busy-waits, so tolerances are loose
   // (this is a smoke test of the attribution, not a timing benchmark).
-  ThreadPool pool(1);
+  WorkStealingPool pool(1);
   const auto report = execute_partition(
       part, pool, [](const SyntheticProblem& piece) {
         // Busy-wait proportional to weight (weights sum to 1).
@@ -115,7 +55,7 @@ TEST(Executor, BusyTimesTrackWeights) {
 TEST(Executor, RejectsEmptyPartition) {
   lbb::core::Partition<lbb::problems::SyntheticProblem> empty;
   empty.processors = 4;
-  ThreadPool pool(1);
+  WorkStealingPool pool(1);
   EXPECT_THROW(execute_partition(empty, pool,
                                  [](const auto&) {}),
                std::invalid_argument);
@@ -132,134 +72,8 @@ TEST(ExecutionReport, ImbalanceComputation) {
   EXPECT_THROW(static_cast<void>(empty.imbalance()), std::logic_error);
 }
 
-}  // namespace
-}  // namespace lbb::runtime
-
-// Appended: tests for the real-thread BA partitioner.
-#include "core/ba.hpp"
-#include "problems/fe_tree.hpp"
-#include "runtime/parallel_ba.hpp"
-
-namespace lbb::runtime {
-namespace {
-
-using lbb::problems::AlphaDistribution;
-using lbb::problems::SyntheticProblem;
-
-TEST(ParallelBa, MatchesSequentialBaExactly) {
-  ThreadPool pool(4);
-  for (std::uint64_t seed : {1ULL, 7ULL}) {
-    SyntheticProblem p(seed, AlphaDistribution::uniform(0.1, 0.5));
-    for (int n : {1, 2, 16, 128, 500}) {
-      const auto par = parallel_ba_partition(p, n, pool);
-      const auto seq = lbb::core::ba_partition(p, n);
-      ASSERT_EQ(par.pieces.size(), seq.pieces.size()) << "n=" << n;
-      for (std::size_t i = 0; i < par.pieces.size(); ++i) {
-        EXPECT_EQ(par.pieces[i].processor, seq.pieces[i].processor);
-        EXPECT_DOUBLE_EQ(par.pieces[i].weight, seq.pieces[i].weight);
-      }
-      EXPECT_EQ(par.bisections, seq.bisections);
-      EXPECT_EQ(par.max_depth, seq.max_depth);
-    }
-  }
-}
-
-TEST(ParallelBa, ValidatesAndConserves) {
-  ThreadPool pool(3);
-  SyntheticProblem p(9, AlphaDistribution::uniform(0.05, 0.5));
-  const auto part = parallel_ba_partition(p, 200, pool);
-  EXPECT_TRUE(part.validate());
-  EXPECT_DOUBLE_EQ(part.ratio(),
-                   lbb::core::ba_partition(p, 200).ratio());
-}
-
-TEST(ParallelBa, WorksWithExpensiveBisectionProblems) {
-  // The point of parallelizing the partitioning: FE-tree separator
-  // computation is O(fragment size) per bisection.
-  ThreadPool pool(4);
-  const auto tree = lbb::problems::FeTree::adaptive_refinement(3, 3000, 2.0);
-  const auto par =
-      parallel_ba_partition(lbb::problems::FeTreeProblem(tree), 24, pool);
-  const auto seq =
-      lbb::core::ba_partition(lbb::problems::FeTreeProblem(tree), 24);
-  EXPECT_EQ(par.sorted_weights(), seq.sorted_weights());
-}
-
-TEST(ParallelBa, RepeatedRunsAreDeterministic) {
-  ThreadPool pool(8);
-  SyntheticProblem p(11, AlphaDistribution::uniform(0.2, 0.5));
-  const auto a = parallel_ba_partition(p, 64, pool);
-  const auto b = parallel_ba_partition(p, 64, pool);
-  EXPECT_EQ(a.sorted_weights(), b.sorted_weights());
-}
-
-TEST(ParallelBa, RejectsBadN) {
-  ThreadPool pool(1);
-  SyntheticProblem p(1, AlphaDistribution::uniform(0.2, 0.5));
-  EXPECT_THROW(parallel_ba_partition(p, 0, pool), std::invalid_argument);
-}
-
-}  // namespace
-}  // namespace lbb::runtime
-
-// Appended: result-returning submission and the chunked parallel-for that
-// back the parallel experiment engine.
-#include <algorithm>
-#include <array>
-#include <future>
-#include <mutex>
-#include <string>
-
-#include "runtime/parallel_for.hpp"
-
-namespace lbb::runtime {
-namespace {
-
-TEST(SubmitTask, ReturnsValueThroughFuture) {
-  ThreadPool pool(2);
-  auto f = pool.submit_task([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-  auto g = pool.submit_task([] { return std::string("ok"); });
-  EXPECT_EQ(g.get(), "ok");
-}
-
-TEST(SubmitTask, ExceptionGoesToFutureNotPool) {
-  ThreadPool pool(2);
-  auto f = pool.submit_task([]() -> int {
-    throw std::runtime_error("through the future");
-  });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // The pool's own error channel must stay clean: a submit_task failure is
-  // owned by whoever holds the future.
-  pool.wait_idle();
-  EXPECT_EQ(pool.suppressed_exception_count(), 0u);
-}
-
-TEST(SubmitTask, ManyFuturesAllResolve) {
-  ThreadPool pool(4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit_task([i] { return i * i; }));
-  }
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-  }
-}
-
-TEST(ThreadPool, SuppressedExceptionCountAccumulates) {
-  ThreadPool pool(1);  // single worker: deterministic execution order
-  for (int i = 0; i < 3; ++i) {
-    pool.submit([] { throw std::runtime_error("boom"); });
-  }
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);  // first rethrown...
-  EXPECT_EQ(pool.suppressed_exception_count(), 2u);    // ...rest counted
-  pool.submit([] { throw std::runtime_error("later"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  EXPECT_EQ(pool.suppressed_exception_count(), 2u);  // cumulative, not reset
-}
-
 TEST(ParallelFor, VisitsEveryIndexOnce) {
-  ThreadPool pool(4);
+  WorkStealingPool pool(4);
   std::vector<std::atomic<int>> hits(103);
   parallel_for(pool, 0, 103, 7,
                [&hits](std::int64_t i) { hits[i].fetch_add(1); });
@@ -267,7 +81,7 @@ TEST(ParallelFor, VisitsEveryIndexOnce) {
 }
 
 TEST(ParallelForChunks, ChunkBoundariesAreFixed) {
-  ThreadPool pool(3);
+  WorkStealingPool pool(3);
   std::mutex mu;
   std::vector<std::array<std::int64_t, 3>> seen;
   parallel_for_chunks(pool, 0, 10, 4,
@@ -283,12 +97,16 @@ TEST(ParallelForChunks, ChunkBoundariesAreFixed) {
 }
 
 TEST(ParallelForChunks, PropagatesLowestChunkException) {
-  ThreadPool pool(4);
-  // Chunks 2 and 5 fail; the harvest walks futures in chunk order, so the
-  // caller must observe chunk 2's exception deterministically.
+  WorkStealingPool pool(4);
+  // Chunks 2 and 5 fail; errors land in chunk-indexed slots and the join
+  // rethrows the lowest, so the caller observes chunk 2's exception
+  // deterministically -- after every other chunk still ran.
+  std::atomic<int> ran{0};
   try {
     parallel_for_chunks(pool, 0, 80, 10,
-                        [](std::int64_t chunk, std::int64_t, std::int64_t) {
+                        [&ran](std::int64_t chunk, std::int64_t,
+                               std::int64_t) {
+                          ran.fetch_add(1);
                           if (chunk == 2 || chunk == 5) {
                             throw std::runtime_error(
                                 "chunk " + std::to_string(chunk));
@@ -298,6 +116,7 @@ TEST(ParallelForChunks, PropagatesLowestChunkException) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "chunk 2");
   }
+  EXPECT_EQ(ran.load(), 8);
   // The pool survives for further use.
   std::atomic<int> counter{0};
   parallel_for(pool, 0, 5, 2, [&counter](std::int64_t) { counter++; });
@@ -305,7 +124,7 @@ TEST(ParallelForChunks, PropagatesLowestChunkException) {
 }
 
 TEST(ParallelForChunks, EmptyAndBadRanges) {
-  ThreadPool pool(2);
+  WorkStealingPool pool(2);
   int calls = 0;
   parallel_for_chunks(pool, 5, 5, 4,
                       [&calls](std::int64_t, std::int64_t, std::int64_t) {
@@ -320,6 +139,33 @@ TEST(ParallelForChunks, EmptyAndBadRanges) {
       parallel_for_chunks(pool, 0, 10, 0,
                           [](std::int64_t, std::int64_t, std::int64_t) {}),
       std::invalid_argument);
+}
+
+TEST(ParallelForChunks, NestedCallOnSamePoolThrowsInsteadOfHanging) {
+  // A chunk that calls back into its own pool would block a worker on a
+  // join that may need that worker; the inner call must refuse, and the
+  // refusal must surface at the outer caller like any chunk failure.
+  WorkStealingPool pool(2);
+  std::atomic<int> inner_chunks{0};
+  EXPECT_THROW(
+      parallel_for_chunks(
+          pool, 0, 4, 1,
+          [&](std::int64_t, std::int64_t, std::int64_t) {
+            parallel_for_chunks(
+                pool, 0, 4, 1,
+                [&](std::int64_t, std::int64_t, std::int64_t) {
+                  inner_chunks.fetch_add(1);
+                });
+          }),
+      std::logic_error);
+  EXPECT_EQ(inner_chunks.load(), 0);
+  // A different pool is fine from inside a chunk.
+  WorkStealingPool other(2);
+  std::atomic<int> nested{0};
+  parallel_for(pool, 0, 3, 1, [&](std::int64_t) {
+    parallel_for(other, 0, 4, 1, [&](std::int64_t) { nested.fetch_add(1); });
+  });
+  EXPECT_EQ(nested.load(), 12);
 }
 
 }  // namespace

@@ -9,14 +9,14 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <string>
 #include <vector>
 
 #include "core/hf.hpp"
 #include "problems/alpha_dist.hpp"
 #include "problems/synthetic.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/parallel_for.hpp"
+#include "runtime/work_stealing.hpp"
 #include "sim/checker.hpp"
 #include "sim/par_ba.hpp"
 #include "sim/phf.hpp"
@@ -135,23 +135,18 @@ TEST(FaultModel, DeterministicAcrossThreadCounts) {
   // shared.
   const int kTrials = 12;
   auto run_all = [&](unsigned threads) {
-    lbb::runtime::ThreadPool pool(threads);
-    std::vector<std::future<std::string>> futures;
-    futures.reserve(kTrials);
-    for (int t = 0; t < kTrials; ++t) {
-      futures.push_back(pool.submit_task([t] {
-        SyntheticProblem p(100 + t, AlphaDistribution::uniform(0.15, 0.5));
-        PhfSimOptions opt;
-        opt.manager = FreeProcManager::kRandomProbe;
-        opt.faults = heavy_faults();
-        opt.faults.seed = static_cast<std::uint64_t>(t + 1);
-        auto r = phf_simulate(p, 64, 0.15, {}, opt);
-        return metrics_json(r.metrics);
-      }));
-    }
-    std::vector<std::string> out;
-    out.reserve(kTrials);
-    for (auto& f : futures) out.push_back(f.get());
+    lbb::runtime::WorkStealingPool pool(threads);
+    std::vector<std::string> out(kTrials);
+    lbb::runtime::parallel_for(pool, 0, kTrials, 1, [&out](std::int64_t t) {
+      SyntheticProblem p(static_cast<std::uint64_t>(100 + t),
+                         AlphaDistribution::uniform(0.15, 0.5));
+      PhfSimOptions opt;
+      opt.manager = FreeProcManager::kRandomProbe;
+      opt.faults = heavy_faults();
+      opt.faults.seed = static_cast<std::uint64_t>(t + 1);
+      auto r = phf_simulate(p, 64, 0.15, {}, opt);
+      out[static_cast<std::size_t>(t)] = metrics_json(r.metrics);
+    });
     return out;
   };
   const auto one = run_all(1);

@@ -47,8 +47,9 @@ matched cell the script compares:
     not noise.
 
 Exit status: 0 if no regression, 1 if any cell regressed, 2 on usage or
-input errors.  Cells present in only one report are listed but do not fail
-the diff (grid changes are legitimate).
+input errors -- including two reports that share no cell, since a gate that
+compared nothing proved nothing.  Cells present in only one report are
+listed but do not fail the diff on their own (grid changes are legitimate).
 """
 
 from __future__ import annotations
@@ -136,6 +137,7 @@ def main(argv):
 
     regressions = []
     rows = []
+    compared = 0
     for key in sorted(base_cells.keys() | cand_cells.keys()):
         exp, algo, log2_n, threads = key
         label = f"{exp} {algo} n=2^{log2_n}"
@@ -148,6 +150,7 @@ def main(argv):
             rows.append((label, "only in baseline", ""))
             continue
         b, c = base_cells[key], cand_cells[key]
+        compared += 1
 
         wall = rel_change(b.get("wall_seconds", 0), c.get("wall_seconds", 0))
         rate = rel_change(b.get("bisections_per_sec", 0),
@@ -238,13 +241,19 @@ def main(argv):
     for label, detail, status in rows:
         print(f"{label:<{width}}  {detail}  {status}".rstrip())
 
+    if compared == 0:
+        print(f"\nbench_diff: no cell appears in both reports ({len(rows)} "
+              f"cells, all only in baseline or candidate); nothing was "
+              f"compared", file=sys.stderr)
+        return 2
     if regressions:
         print(f"\n{len(regressions)} cell(s) regressed "
               f"(band {args.band:.0%}):")
         for label in regressions:
             print(f"  {label}")
         return 1
-    print(f"\nno regressions ({len(rows)} cells, band {args.band:.0%})")
+    print(f"\nno regressions ({compared} of {len(rows)} cells compared, "
+          f"band {args.band:.0%})")
     return 0
 
 
