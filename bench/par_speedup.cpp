@@ -22,15 +22,21 @@
 // determinism harness (tools/check_determinism.sh) runs this mode.
 //
 // The JSON mirrors BENCH_ratio_experiment.json: one experiment per
-// algorithm, one inline cell per thread count.  hardware_concurrency is
-// recorded so readers can tell a 1-CPU CI box (speedup ~1 everywhere) from
-// a real multicore run; tools/bench_diff.py only compares speedups between
-// reports taken on machines with the same concurrency.
+// algorithm, one inline cell per thread count.  Each cell carries two
+// measured speedups: `speedup` against the same runtime at 1 thread, and
+// `speedup_vs_seq` against the sequential kernel (seq_wall_seconds /
+// wall_seconds), which the summary line prints at the top thread count.
+// hardware_concurrency is recorded so readers can tell a 1-CPU CI box
+// (speedup ~1 everywhere) from a real multicore run; tools/bench_diff.py
+// only compares speedups between reports taken on machines with the same
+// concurrency.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -317,6 +323,10 @@ int run_par_speedup(int argc, char** argv) {
   json.key("experiments");
   json.begin_array();
 
+  // "par:ba 1.55x, par:ba_hf 1.10x" at the top thread count.
+  std::ostringstream vs_seq;
+  vs_seq << std::fixed << std::setprecision(2);
+
   for (const AlgoSpec& algo : algos) {
     const SimBounds bounds = sim_bounds(algo.family, inst);
 
@@ -359,10 +369,9 @@ int run_par_speedup(int argc, char** argv) {
         const double w = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-        if (algo.family == Family::kBa) {
-          ws.recycle(std::move(part));
-          ws.reset();
-        }
+        // Recycled pieces stay alive as the next call's overwrite targets
+        // (no reset(): SyntheticProblem never touches the arena).
+        if (algo.family == Family::kBa) ws.recycle(std::move(part));
         if (trial == 0) continue;  // warm-up (sizes pools and workspaces)
         wall = (wall == 0.0) ? w : std::min(wall, w);
       }
@@ -370,12 +379,18 @@ int run_par_speedup(int argc, char** argv) {
       const double speedup = (wall > 0.0 && wall_one > 0.0)
                                  ? wall_one / wall
                                  : 1.0;
+      const double speedup_vs_seq = wall > 0.0 ? seq_wall / wall : 1.0;
+      if (t == max_threads) {
+        vs_seq << (vs_seq.tellp() > 0 ? ", " : "") << algo.name << ' '
+               << speedup_vs_seq << 'x';
+      }
       json.begin_object(/*inline_mode=*/true);
       json.member("algo", algo.name);
       json.member("log2_n", logn);
       json.member("threads", t);
       json.member("wall_seconds", wall);
       json.member("speedup", speedup);
+      json.member("speedup_vs_seq", speedup_vs_seq);
       json.member("predicted_speedup", brent_speedup(bounds, t));
       json.member("par_grain", stats.grain);
       json.member("par_spawns", stats.spawns);
@@ -395,7 +410,9 @@ int run_par_speedup(int argc, char** argv) {
   std::cout << "par_speedup report written to " << out_path << " (N=2^"
             << logn << ", threads <= " << max_threads
             << ", hardware_concurrency = "
-            << std::thread::hardware_concurrency() << ")\n";
+            << std::thread::hardware_concurrency()
+            << "; speedup_vs_seq at T=" << max_threads << ": "
+            << vs_seq.str() << ")\n";
   return 0;
 }
 

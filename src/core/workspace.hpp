@@ -5,7 +5,8 @@
 //   * the scratch buffers of the algorithm kernels (HF's slot array,
 //     per-slot weights and selection heap; the BA-family frame stack),
 //   * a piece pool that recycles the Partition::pieces storage of finished
-//     trials back into the next partition call, and
+//     trials back into the next partition call (the pool holds the last
+//     result's pieces until the next take, reset or release), and
 //   * a MonotonicArena for arena-backed AnyProblem storage (problems too
 //     large for the handle's inline buffer).
 //
@@ -45,6 +46,9 @@ class TrialWorkspace {
   TrialWorkspace& operator=(TrialWorkspace&&) noexcept = default;
   TrialWorkspace(const TrialWorkspace&) = delete;
   TrialWorkspace& operator=(const TrialWorkspace&) = delete;
+  /// Pooled pieces may live in arena_, which is declared after the pool and
+  /// so would be destroyed before it; destroy them first.
+  ~TrialWorkspace() { piece_pool_.clear(); }
 
   /// Arena for oversized type-erased problems; reset between trials by
   /// reset() once every handle into it has been destroyed.
@@ -52,10 +56,10 @@ class TrialWorkspace {
 
   /// Takes a pieces vector for a new Partition: the recycled buffer of a
   /// previous trial when one is pooled (capacity retained -- no
-  /// allocation), otherwise a fresh vector.  Always reserved to `n`.
+  /// allocation), otherwise a fresh vector.  Always empty and reserved to
+  /// `n`, for kernels that push_back their pieces.
   LBB_HOT [[nodiscard]] std::vector<Piece<P>> take_pieces(std::size_t n) {
-    std::vector<Piece<P>> pieces = std::move(piece_pool_);
-    piece_pool_ = std::vector<Piece<P>>();
+    std::vector<Piece<P>> pieces = take_live_pieces();
     pieces.clear();
     // lbb-lint: allow(hot-alloc): recycled buffer -- capacity is retained
     // across trials, so this reserve only allocates until the pool is warm
@@ -64,20 +68,34 @@ class TrialWorkspace {
     return pieces;
   }
 
+  /// Takes the pooled vector as it is: the last recycled result's pieces
+  /// stay alive, so a caller that writes every output slot by index (the
+  /// parallel partitioners) move-assigns over them instead of clearing and
+  /// refilling.  Empty when nothing is pooled.
+  LBB_HOT [[nodiscard]] std::vector<Piece<P>> take_live_pieces() noexcept {
+    return std::exchange(piece_pool_, std::vector<Piece<P>>());
+  }
+
   /// Returns a finished trial's Partition storage to the pool.  Call after
   /// the trial's statistics have been extracted; the partition is consumed.
+  /// Its pieces stay alive in the pool until the next take, reset() or
+  /// release().
   LBB_HOT void recycle(Partition<P>&& used) {
     if (used.pieces.capacity() > piece_pool_.capacity()) {
       piece_pool_ = std::move(used.pieces);
     }
-    piece_pool_.clear();
   }
 
-  /// Rewinds the arena (buffers keep their capacity regardless).  Every
-  /// arena-backed AnyProblem from the previous trial must be dead.
-  void reset() noexcept { arena_.reset(); }
+  /// Destroys the pooled pieces, then rewinds the arena (buffers keep their
+  /// capacity regardless).  Every other arena-backed AnyProblem from the
+  /// previous trial must be dead.
+  void reset() noexcept {
+    piece_pool_.clear();
+    arena_.reset();
+  }
 
-  /// Drops all retained memory (buffers and arena chunks).
+  /// Drops all retained memory (buffers and arena chunks).  The pooled
+  /// pieces go before the arena they may live in.
   void release() noexcept {
     hf_slots = std::vector<detail::HfSlot<P>>();
     slot_weight = std::vector<double>();
@@ -89,7 +107,8 @@ class TrialWorkspace {
 
   // Kernel scratch, used directly by detail::hf_run / ba_run / ba_hf_run.
   // Each kernel clears what it uses on entry; contents are dead between
-  // runs (moved-from problems only).
+  // runs (moved-from problems only).  Unlike these, the piece pool holds
+  // the last result's pieces until the next take, reset or release.
   std::vector<detail::HfSlot<P>> hf_slots;
   std::vector<double> slot_weight;
   detail::HfHeap heap;

@@ -17,13 +17,17 @@
 //      a pure function of (problem, weights, n, grain, family thresholds)
 //      -- never of scheduling.  Work stealing only changes WHEN/WHERE a
 //      frame runs, not WHICH frames run.
-//   2. Every piece lands in a staging slot indexed by its absolute
-//      processor id; ranges are disjoint, so there are no write conflicts
-//      and no ordering sensitivity.  The sequential kernels emit pieces in
-//      strictly increasing processor order (BA pops the heavier/low-range
-//      child first; HF emits slots in creation order at proc_lo + i), so
-//      compacting the staging array in ascending processor order
-//      reproduces the sequential piece order exactly.
+//   2. The output is sized to n before the job starts, and a terminal
+//      over processors [lo, lo+k) move-assigns its i-th piece straight into
+//      out.pieces[lo + i].  Terminal ranges are disjoint, so there are no
+//      write conflicts and no ordering sensitivity.  The sequential kernels
+//      emit pieces in strictly increasing processor order (BA pops the
+//      heavier/low-range child first; HF emits slots in creation order at
+//      proc_lo + i).  BA and BA-HF give every processor exactly one piece,
+//      so the parallel layout already is the sequential order.  BA' may
+//      leave a terminal's range short; one in-place pass over per-terminal
+//      (range, count) records, in ascending processor order, closes the
+//      gaps and reproduces the sequential piece order exactly.
 //   3. The recorded BisectionTree is rebuilt after the join by replaying
 //      chain events and terminal subtrees in the sequential DFS order
 //      (see detail::stitch_tree), which reassigns the exact sequential
@@ -31,16 +35,24 @@
 //
 // Allocation: the steady-state non-recording path performs ZERO heap
 // allocations once warm -- task frames live in pre-allocated slots,
-// terminal scratch in thread-local workspaces, staging in a caller-thread
-// ParScratch, and the pieces vector can be recycled through a caller
-// TrialWorkspace (the extended perf_alloc_gate_test pins this).  Tree
-// recording allocates (the tree itself does), exactly like sequential.
+// terminal scratch in thread-local workspaces, the root slot and BA'
+// terminal records in a caller-thread ParScratch, and the pieces vector
+// can be recycled through a caller TrialWorkspace (the extended
+// perf_alloc_gate_test pins this).  A recycled vector still holds the last
+// result's pieces, so the workspace overload overwrites them in place and
+// sizing the output costs nothing when n is unchanged.  Without a
+// workspace, or when n grows, the missing slots are filled serially with
+// a default-constructed P or with copies of the root problem; a P that is
+// neither default-constructible nor copyable runs the sequential kernel.
+// Tree recording allocates (the tree itself does), exactly like
+// sequential.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
+#include <concepts>
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -94,11 +106,18 @@ struct Fragment {
   };
   std::vector<ChainEvent> events;
   std::int32_t term_lo = 0;           ///< terminal's processor range start
-  std::int32_t term_n = 0;            ///< terminal's processor count
+  std::int32_t term_count = 0;        ///< pieces the terminal wrote
   core::BisectionTree subtree;        ///< terminal kernel's local tree
 };
 
-/// The typed job block: parameters, staging output and fragment arenas.
+/// What the terminal starting at a processor wrote: its range length and
+/// its piece count (smaller than the range only under BA' pruning).
+struct TerminalSpan {
+  std::int32_t n;
+  std::int32_t count;
+};
+
+/// The typed job block: parameters, output slots and fragment arenas.
 template <core::Bisectable P>
 class ParJob : public ParJobBase {
  public:
@@ -108,10 +127,14 @@ class ParJob : public ParJobBase {
   std::int32_t grain = 1;
   bool record = false;
   WorkStealingPool* ws_pool = nullptr;
-  /// Pre-sized output slots, indexed by absolute processor id.  Disjoint
-  /// terminal ranges mean disjoint writes; engaged entries are compacted
-  /// in ascending processor order after the join.
-  std::optional<core::Piece<P>>* staging = nullptr;
+  /// out.pieces, sized to n: a terminal over [lo, lo+k) writes its pieces
+  /// to pieces[lo ..].  Disjoint terminal ranges mean disjoint writes.
+  core::Piece<P>* pieces = nullptr;
+  /// BA' only: spans[lo] records the terminal starting at processor lo,
+  /// for the gap pass after the join.  nullptr for BA and BA-HF, whose
+  /// terminals fill their whole range.
+  TerminalSpan* spans = nullptr;
+  std::atomic<std::int32_t> max_depth{0};
   /// Per-worker fragment arenas (std::deque: stable addresses under
   /// emplace_back, so fragments can be handed across workers).  Sized to
   /// the pool's worker count when recording; untouched otherwise.
@@ -132,10 +155,13 @@ struct ParFrame {
   Fragment* frag;  ///< nullptr unless recording
 };
 
+/// True when P runs on the pool: its frame fits a task slot, and output
+/// slots can be pre-filled (default-constructed or copied from the root).
 template <core::Bisectable P>
-inline constexpr bool frame_fits_slot_v =
+inline constexpr bool runs_parallel_v =
     sizeof(ParFrame<P>) <= TaskSlot::kPayloadBytes &&
-    alignof(ParFrame<P>) <= alignof(std::max_align_t);
+    alignof(ParFrame<P>) <= alignof(std::max_align_t) &&
+    (std::default_initializable<P> || std::copy_constructible<P>);
 
 /// True when the chain must stop and hand the frame to the sequential
 /// kernel.  Supersets of the sequential leaf/switch conditions, so the
@@ -156,7 +182,7 @@ template <core::Bisectable P>
 }
 
 /// Runs the sequential kernel over the frame's whole processor sub-range
-/// on this worker, writing pieces into the staging slots.  Absolute
+/// on this worker, moving its pieces into the output slots.  Absolute
 /// proc_lo/depth go straight through; node ids are local to the terminal's
 /// subtree and remapped by stitch_tree after the join.
 template <core::Bisectable P>
@@ -184,12 +210,16 @@ void run_terminal(ParJob<P>& job, ParFrame<P> f) {
       break;
   }
   job.bisections.fetch_add(tmp.bisections);
-  for (auto& piece : tmp.pieces) {
-    job.staging[piece.processor].emplace(std::move(piece));
+  std::int32_t depth = job.max_depth.load();
+  while (tmp.max_depth > depth &&
+         !job.max_depth.compare_exchange_weak(depth, tmp.max_depth)) {
   }
+  const auto count = static_cast<std::int32_t>(tmp.pieces.size());
+  std::move(tmp.pieces.begin(), tmp.pieces.end(), job.pieces + f.proc_lo);
+  if (job.spans != nullptr) job.spans[f.proc_lo] = TerminalSpan{f.n, count};
   if (job.record) {
     f.frag->term_lo = f.proc_lo;
-    f.frag->term_n = f.n;
+    f.frag->term_count = count;
     f.frag->subtree = std::move(tmp.tree);
   }
   ws.recycle(std::move(tmp));
@@ -294,7 +324,7 @@ void run_chain(ParJob<P>& job, ParFrame<P> f) {
 }
 
 /// Rebuilds the global BisectionTree in sequential DFS order from the
-/// fragment graph, patching staged pieces' node ids along the way.
+/// fragment graph, patching the output pieces' node ids along the way.
 ///
 /// Sequential numbering: set_root gives id 0; each bisection assigns the
 /// children (size, size+1); the DFS descends the heavier/left child fully
@@ -309,7 +339,7 @@ void run_chain(ParJob<P>& job, ParFrame<P> f) {
 /// aligns them with the globally assigned ids.
 template <core::Bisectable P>
 void stitch_tree(core::BisectionTree& tree, Fragment* root,
-                 std::optional<core::Piece<P>>* staging) {
+                 core::Piece<P>* pieces) {
   std::vector<std::pair<Fragment*, core::NodeId>> stack;
   stack.emplace_back(root, 0);
   while (!stack.empty()) {
@@ -336,22 +366,55 @@ void stitch_tree(core::BisectionTree& tree, Fragment* root,
       const auto& right = sub.node(static_cast<core::NodeId>(2 * j + 2));
       tree.add_bisection(to_global(left.parent), left.weight, right.weight);
     }
-    for (std::int32_t p = frag->term_lo; p < frag->term_lo + frag->term_n;
-         ++p) {
-      if (staging[p].has_value()) {
-        staging[p]->node = to_global(staging[p]->node);
-      }
+    core::Piece<P>* const first = pieces + frag->term_lo;
+    for (core::Piece<P>* piece = first; piece != first + frag->term_count;
+         ++piece) {
+      piece->node = to_global(piece->node);
     }
   }
 }
 
-/// Caller-thread scratch reused across calls: the staging slots and the
-/// root task's slot (caller-owned: released as a no-op by the trampoline).
-template <core::Bisectable P>
+/// Caller-thread scratch reused across calls: the BA' terminal records
+/// and the root task's slot (caller-owned: released as a no-op by the
+/// trampoline).
 struct ParScratch {
-  std::vector<std::optional<core::Piece<P>>> staging;
+  std::vector<TerminalSpan> spans;
   TaskSlot root_slot;
 };
+
+/// Makes `pieces` exactly n long for the terminals to overwrite.  Live
+/// entries (a recycled result) are kept as overwrite targets; a shorter
+/// buffer is topped up with a default-constructed P or copies of `root`.
+template <core::Bisectable P>
+void size_for_overwrite(std::vector<core::Piece<P>>& pieces, std::size_t n,
+                        const P& root) {
+  if (pieces.size() > n) {
+    pieces.erase(pieces.begin() + static_cast<std::ptrdiff_t>(n),
+                 pieces.end());
+  } else if (pieces.size() < n) {
+    if constexpr (std::default_initializable<P>) {
+      pieces.resize(n);
+    } else {
+      pieces.resize(n, core::Piece<P>{root});
+    }
+  }
+}
+
+/// BA' gap pass: moves each terminal's pieces down to close the slots its
+/// pruned range left empty, in ascending processor order, then erases the
+/// tail.  Terminal ranges tile [0, n), so every record read was written by
+/// this call.
+template <core::Bisectable P>
+void close_gaps(std::vector<core::Piece<P>>& pieces,
+                const TerminalSpan* spans) {
+  const auto n = static_cast<std::int32_t>(pieces.size());
+  auto dst = pieces.begin();
+  for (std::int32_t lo = 0; lo < n; lo += spans[lo].n) {
+    const auto src = pieces.begin() + lo;
+    dst = std::move(src, src + spans[lo].count, dst);
+  }
+  pieces.erase(dst, pieces.end());
+}
 
 [[nodiscard]] inline std::int32_t effective_grain(std::int32_t requested,
                                                   std::int32_t n,
@@ -382,19 +445,13 @@ template <core::Bisectable P>
   core::Partition<P> out;
   out.processors = n;
   out.total_weight = problem.weight();
-  out.pieces = caller_ws != nullptr
-                   ? caller_ws->take_pieces(static_cast<std::size_t>(n))
-                   : [&] {
-                       std::vector<core::Piece<P>> pieces;
-                       pieces.reserve(static_cast<std::size_t>(n));
-                       return pieces;
-                     }();
+  if (caller_ws != nullptr) out.pieces = caller_ws->take_live_pieces();
+  size_for_overwrite(out.pieces, static_cast<std::size_t>(n), problem);
 
-  static thread_local ParScratch<P> scratch;
-  // Not assign(): optional<Piece<P>> is move-only for move-only P.
-  for (auto& slot : scratch.staging) slot.reset();
-  if (scratch.staging.size() < static_cast<std::size_t>(n)) {
-    scratch.staging.resize(static_cast<std::size_t>(n));
+  static thread_local ParScratch scratch;
+  const bool gaps = family == ParFamily::kBaStar;
+  if (gaps && scratch.spans.size() < static_cast<std::size_t>(n)) {
+    scratch.spans.resize(static_cast<std::size_t>(n));
   }
 
   ParJob<P> job;
@@ -404,7 +461,8 @@ template <core::Bisectable P>
   job.grain = grain;
   job.record = record;
   job.ws_pool = &pool;
-  job.staging = scratch.staging.data();
+  job.pieces = out.pieces.data();
+  job.spans = gaps ? scratch.spans.data() : nullptr;
   if (record) job.frag_arena.resize(pool.size());
 
   const std::int64_t idle_before = pool.idle_ns_total();
@@ -419,23 +477,20 @@ template <core::Bisectable P>
   job.wait();
 
   if (std::exception_ptr err = job.take_error()) {
-    // Staging may be partially filled; the next call's assign() clears it.
+    // The half-written output dies with `out`; a workspace caller's next
+    // call starts from a fresh buffer.
     std::rethrow_exception(err);
   }
 
   out.bisections = job.bisections.load();
+  out.max_depth = job.max_depth.load();
   if (record) {
     core::detail::BuildContext<P> tctx(out, /*record_tree=*/true);
     tctx.reserve(n);
     (void)tctx.root(out.total_weight);
-    stitch_tree(out.tree, &job.root_frag, scratch.staging.data());
+    stitch_tree(out.tree, &job.root_frag, out.pieces.data());
   }
-  for (auto& slot : scratch.staging) {
-    if (!slot.has_value()) continue;  // BA' leaves gaps in pruned ranges
-    out.max_depth = std::max(out.max_depth, slot->depth);
-    out.pieces.push_back(std::move(*slot));
-    slot.reset();
-  }
+  if (gaps) close_gaps(out.pieces, scratch.spans.data());
 
   if (stats != nullptr) {
     stats->spawns = job.spawns.load();
@@ -448,8 +503,9 @@ template <core::Bisectable P>
   return out;
 }
 
-/// Oversized-frame fallback: run the sequential counterpart outright
-/// (byte-identical by definition).  Selected at compile time.
+/// Fallback for a P that cannot run on the pool (see runs_parallel_v): run
+/// the sequential counterpart outright (byte-identical by definition).
+/// Selected at compile time.
 template <core::Bisectable P>
 [[nodiscard]] core::Partition<P> par_run_sequential(
     core::TrialWorkspace<P>* caller_ws, P problem, std::int32_t n,
@@ -485,7 +541,7 @@ template <core::Bisectable P>
     WorkStealingPool& pool, core::TrialWorkspace<P>& ws, P problem,
     std::int32_t n, const ParOptions& opt = {}, ParStats* stats = nullptr) {
   if (n < 1) throw std::invalid_argument("par_ba_partition: n must be >= 1");
-  if constexpr (!detail::frame_fits_slot_v<P>) {
+  if constexpr (!detail::runs_parallel_v<P>) {
     return detail::par_run_sequential(&ws, std::move(problem), n,
                                       detail::ParFamily::kBa, 0.25, 1.0, opt,
                                       stats);
@@ -502,7 +558,7 @@ template <core::Bisectable P>
     WorkStealingPool& pool, P problem, std::int32_t n,
     const ParOptions& opt = {}, ParStats* stats = nullptr) {
   if (n < 1) throw std::invalid_argument("par_ba_partition: n must be >= 1");
-  if constexpr (!detail::frame_fits_slot_v<P>) {
+  if constexpr (!detail::runs_parallel_v<P>) {
     return detail::par_run_sequential<P>(nullptr, std::move(problem), n,
                                          detail::ParFamily::kBa, 0.25, 1.0,
                                          opt, stats);
@@ -523,7 +579,7 @@ template <core::Bisectable P>
     throw std::invalid_argument("par_ba_star_partition: n must be >= 1");
   }
   core::require_valid_alpha(alpha);
-  if constexpr (!detail::frame_fits_slot_v<P>) {
+  if constexpr (!detail::runs_parallel_v<P>) {
     return detail::par_run_sequential<P>(nullptr, std::move(problem), n,
                                          detail::ParFamily::kBaStar, alpha,
                                          1.0, opt, stats);
@@ -549,7 +605,7 @@ template <core::Bisectable P>
   if (!(params.beta > 0.0)) {
     throw std::invalid_argument("par_ba_hf_partition: beta must be > 0");
   }
-  if constexpr (!detail::frame_fits_slot_v<P>) {
+  if constexpr (!detail::runs_parallel_v<P>) {
     return detail::par_run_sequential<P>(nullptr, std::move(problem), n,
                                          detail::ParFamily::kBaHf,
                                          params.alpha, params.beta, opt,

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 #include <vector>
 
+#include "core/ba.hpp"
 #include "core/hf.hpp"
+#include "core/problem.hpp"
 #include "core/workspace.hpp"
 #include "problems/alpha_dist.hpp"
 #include "problems/synthetic.hpp"
@@ -130,6 +134,57 @@ TEST(TrialWorkspace, ReleaseKeepsWorkspaceUsable) {
   ws.release();
   auto part = lbb::core::hf_partition(ws, p, 32);
   EXPECT_EQ(part.pieces.size(), 32u);
+}
+
+/// Too large for AnyProblem's inline buffer, so a handle built on an arena
+/// keeps it there; counts its live instances.
+struct CountedBigProblem {
+  static inline int live = 0;
+  double w = 1.0;
+  std::array<double, 8> pad{};
+
+  explicit CountedBigProblem(double weight) : w(weight) { ++live; }
+  CountedBigProblem(const CountedBigProblem& o) : w(o.w), pad(o.pad) {
+    ++live;
+  }
+  CountedBigProblem(CountedBigProblem&& o) noexcept : w(o.w), pad(o.pad) {
+    ++live;
+  }
+  CountedBigProblem& operator=(const CountedBigProblem&) = default;
+  CountedBigProblem& operator=(CountedBigProblem&&) noexcept = default;
+  ~CountedBigProblem() { --live; }
+
+  [[nodiscard]] double weight() const noexcept { return w; }
+  [[nodiscard]] std::pair<CountedBigProblem, CountedBigProblem> bisect()
+      const {
+    return {CountedBigProblem(w * 0.6), CountedBigProblem(w * 0.4)};
+  }
+};
+static_assert(!lbb::core::AnyProblem::fits_inline_v<CountedBigProblem>);
+
+TEST(TrialWorkspace, ResetDestroysPooledPiecesBeforeArenaRewind) {
+  CountedBigProblem::live = 0;
+  {
+    TrialWorkspace<lbb::core::AnyProblem> ws;
+    auto part = lbb::core::ba_partition(
+        ws, lbb::core::AnyProblem(CountedBigProblem(1.0), ws.arena()), 16);
+    ASSERT_EQ(part.pieces.size(), 16u);
+    EXPECT_EQ(CountedBigProblem::live, 16);
+    // The pool keeps the recycled pieces alive (arena-backed)...
+    ws.recycle(std::move(part));
+    EXPECT_EQ(CountedBigProblem::live, 16);
+    // ...until reset(), which must destroy them before it rewinds the
+    // arena they live in.
+    ws.reset();
+    EXPECT_EQ(CountedBigProblem::live, 0);
+
+    // Same for a workspace destroyed while its pool holds arena-backed
+    // pieces: they go before the arena (the asan preset checks this).
+    ws.recycle(lbb::core::ba_partition(
+        ws, lbb::core::AnyProblem(CountedBigProblem(1.0), ws.arena()), 16));
+    EXPECT_EQ(CountedBigProblem::live, 16);
+  }
+  EXPECT_EQ(CountedBigProblem::live, 0);
 }
 
 }  // namespace

@@ -186,23 +186,33 @@ TEST(ParPartition, BaByteIdenticalAcrossThreadsAndGrains) {
 }
 
 TEST(ParPartition, BaStarByteIdentical) {
+  // Grain 1 chains everywhere the sequential recursion goes; grains 0 and
+  // 7 leave pruned gaps inside a terminal's range, so the gap pass and the
+  // node-id patching see terminals that write fewer pieces than their
+  // range.
   constexpr double kAlpha = 0.2;
   core::PartitionOptions record;
   record.record_tree = true;
-  ParOptions opt;
-  opt.partition = record;
-  opt.grain = 1;  // chain everywhere the sequential recursion goes
-  WorkStealingPool pool(4);
-  for (const std::uint64_t seed : {3ull, 99ull}) {
-    for (const std::int32_t n : {1, 2, 13, 64, 333}) {
-      core::TrialWorkspace<SyntheticProblem> seq_ws;
-      const auto seq = core::ba_star_partition(seq_ws, make_problem(seed), n,
-                                               kAlpha, record);
-      const auto par =
-          par_ba_star_partition(pool, make_problem(seed), n, kAlpha, opt);
-      expect_identical(par, seq,
-                       "seed=" + std::to_string(seed) +
-                           " n=" + std::to_string(n));
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    WorkStealingPool pool(threads);
+    for (const std::int32_t grain : {0, 1, 7}) {
+      ParOptions opt;
+      opt.partition = record;
+      opt.grain = grain;
+      for (const std::uint64_t seed : {3ull, 99ull}) {
+        for (const std::int32_t n : {1, 2, 13, 64, 333}) {
+          core::TrialWorkspace<SyntheticProblem> seq_ws;
+          const auto seq = core::ba_star_partition(
+              seq_ws, make_problem(seed), n, kAlpha, record);
+          const auto par =
+              par_ba_star_partition(pool, make_problem(seed), n, kAlpha, opt);
+          expect_identical(par, seq,
+                           "threads=" + std::to_string(threads) +
+                               " grain=" + std::to_string(grain) +
+                               " seed=" + std::to_string(seed) +
+                               " n=" + std::to_string(n));
+        }
+      }
     }
   }
 }
@@ -252,15 +262,22 @@ TEST(ParPartition, ExpensiveBisectionProblem) {
 }
 
 TEST(ParPartition, WorkspaceOverloadMatchesAndRecycles) {
+  // The recycled pieces are the next call's overwrite targets: a stale
+  // buffer longer than n is cut (500 -> 64, 500 -> 1), a shorter one is
+  // topped up (64 -> 500, 1 -> 500).
   WorkStealingPool pool(2);
   core::TrialWorkspace<SyntheticProblem> par_ws;
   core::TrialWorkspace<SyntheticProblem> seq_ws;
-  for (int round = 0; round < 3; ++round) {
-    auto seq = core::ba_partition(seq_ws, make_problem(11), 64);
-    auto par = par_ba_partition(pool, par_ws, make_problem(11), 64);
-    expect_identical(par, seq, "round " + std::to_string(round));
+  std::uint64_t seed = 11;
+  for (const std::int32_t n : {500, 64, 500, 1, 500}) {
+    auto seq = core::ba_partition(seq_ws, make_problem(seed), n);
+    auto par = par_ba_partition(pool, par_ws, make_problem(seed), n);
+    expect_identical(par, seq,
+                     "seed=" + std::to_string(seed) +
+                         " n=" + std::to_string(n));
     seq_ws.recycle(std::move(seq));
     par_ws.recycle(std::move(par));
+    ++seed;
   }
 }
 
@@ -319,6 +336,19 @@ TEST(ParPartition, TaskExceptionPropagatesToCaller) {
   }();
   const auto par = par_ba_partition(pool, make_problem(9), 32);
   expect_identical(par, seq, "after failure");
+
+  // Through the workspace overload, a failed call must not leave the
+  // caller's workspace in a state that corrupts its next call.
+  const ThrowingProblem healthy{1.0, /*trip=*/0.0};
+  core::TrialWorkspace<ThrowingProblem> par_ws;
+  par_ws.recycle(par_ba_partition(pool, par_ws, healthy, 512, opt));
+  EXPECT_THROW((void)par_ba_partition(pool, par_ws, ThrowingProblem{}, 512,
+                                      opt),
+               std::runtime_error);
+  const auto par_after = par_ba_partition(pool, par_ws, healthy, 512, opt);
+  core::TrialWorkspace<ThrowingProblem> seq_ws;
+  expect_identical(par_after, core::ba_partition(seq_ws, healthy, 512),
+                   "workspace after failure");
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,10 @@ matched cell the script compares:
     the band (default 15%) is a scaling regression.  Only judged when both
     reports come from machines with the same hardware_concurrency --
     speedups from different core counts are not comparable.
+  * speedup_vs_seq -- the same top-thread-count cells also carry the
+    speedup against the sequential kernel (seq_wall_seconds /
+    wall_seconds).  Judged exactly like speedup, and skipped when the
+    baseline predates the field.
   * p50_ms / p95_ms / p99_ms / partitions_per_sec -- serve_load latency
     cells.  A p99 increase beyond the band, or a serving-throughput drop
     beyond it, is a tail-latency regression; like speedups these are only
@@ -169,11 +173,12 @@ def main(argv):
             verdicts.append(f"alloc_count +{dcount}")
         # Scaling regression: measured speedup at the top thread count
         # dropped by more than the band relative to the baseline.
-        if (same_hw and b.get("is_max_threads") and c.get("is_max_threads")
-                and b.get("speedup", 0) > 0):
-            dspeed = rel_change(b["speedup"], c.get("speedup", 0))
-            if dspeed < -args.band:
-                verdicts.append(f"speedup {fmt_pct(dspeed)} < band")
+        if same_hw and b.get("is_max_threads") and c.get("is_max_threads"):
+            for field in ("speedup", "speedup_vs_seq"):
+                if b.get(field, 0) > 0:
+                    dspeed = rel_change(b[field], c.get(field, 0))
+                    if dspeed < -args.band:
+                        verdicts.append(f"{field} {fmt_pct(dspeed)} < band")
         # Batched-engine regression (perf_report cells): the batched/scalar
         # throughput multiple dropped beyond the band.  Both rates come
         # from the same run on the same machine, but the multiple still

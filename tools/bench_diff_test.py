@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Tests for bench_diff.py's verdict on cell overlap: two reports that
-share no cell must fail (nothing was compared), while one shared cell is
-enough for a clean pass.  Run directly or via ctest (test name:
-bench_diff_overlap)."""
+"""Tests for bench_diff.py: two reports that share no cell must fail
+(nothing was compared), while one shared cell is enough for a clean pass;
+and the par_speedup speedup_vs_seq gate.  Run directly or via ctest (test
+name: bench_diff_overlap)."""
 
 import json
 import os
@@ -22,7 +22,7 @@ def report(*cells):
                       for algo, threads in cells]}
 
 
-class Overlap(unittest.TestCase):
+class DiffCase(unittest.TestCase):
 
     def diff(self, base, cand):
         with tempfile.TemporaryDirectory() as tmp:
@@ -36,6 +36,9 @@ class Overlap(unittest.TestCase):
                                   capture_output=True, text=True)
         return proc.returncode, proc.stdout + proc.stderr
 
+
+class Overlap(DiffCase):
+
     def test_disjoint_cells_fail(self):
         code, out = self.diff(report(("hf", 4)), report(("hf", 2)))
         self.assertNotEqual(code, 0, out)
@@ -46,6 +49,38 @@ class Overlap(unittest.TestCase):
                               report(("hf", 4), ("ba", 2)))
         self.assertEqual(code, 0, out)
         self.assertIn("1 of 3 cells compared", out)
+
+
+def speedup_report(hardware_concurrency, **fields):
+    return {"benchmark": "par_speedup",
+            "hardware_concurrency": hardware_concurrency,
+            "experiments": [{"name": "par:ba", "cells": [
+                dict(algo="par:ba", log2_n=17, threads=4, wall_seconds=1.0,
+                     speedup=3.0, is_max_threads=True, **fields)]}]}
+
+
+class SpeedupVsSeq(DiffCase):
+
+    def test_drop_beyond_band_fails(self):
+        code, out = self.diff(speedup_report(4, speedup_vs_seq=2.0),
+                              speedup_report(4, speedup_vs_seq=1.5))
+        self.assertEqual(code, 1, out)
+        self.assertIn("speedup_vs_seq -25.0% < band", out)
+
+    def test_drop_within_band_passes(self):
+        code, out = self.diff(speedup_report(4, speedup_vs_seq=2.0),
+                              speedup_report(4, speedup_vs_seq=1.9))
+        self.assertEqual(code, 0, out)
+
+    def test_other_hardware_is_skipped(self):
+        code, out = self.diff(speedup_report(1, speedup_vs_seq=2.0),
+                              speedup_report(4, speedup_vs_seq=1.0))
+        self.assertEqual(code, 0, out)
+
+    def test_baseline_without_field_is_skipped(self):
+        code, out = self.diff(speedup_report(4),
+                              speedup_report(4, speedup_vs_seq=1.0))
+        self.assertEqual(code, 0, out)
 
 
 if __name__ == "__main__":
