@@ -8,8 +8,13 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/bisection_tree.hpp"
@@ -31,6 +36,60 @@ struct Piece {
   NodeId node = kNoNode;       ///< id in the recorded tree, if recorded
 };
 
+/// True when PieceAllocator leaves a default-constructed T unwritten.
+template <class T>
+inline constexpr bool leaves_unwritten_v =
+    std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>;
+
+/// The allocator of Partition::pieces.  It behaves exactly like
+/// std::allocator, except that the no-argument construct() writes nothing
+/// when leaves_unwritten_v<T> holds.  So `pieces.resize(n)` on such a type
+/// only moves the end pointer: the parallel partitioners (par_partition.hpp)
+/// size a fresh output in O(1) and their workers construct every piece in
+/// place, so each page is first touched by the worker that fills it, in
+/// parallel, instead of being zero-filled serially on the caller thread
+/// first.  Every other constructor call, and every other T, is
+/// std::allocator's value- or argument-initialization.
+template <class T>
+struct PieceAllocator {
+  using value_type = T;
+  using propagate_on_container_move_assignment = std::true_type;
+  using is_always_equal = std::true_type;
+
+  PieceAllocator() noexcept = default;
+  template <class U>
+  PieceAllocator(const PieceAllocator<U>& /*other*/) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    return std::allocator<T>().allocate(n);
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    std::allocator<T>().deallocate(p, n);
+  }
+
+  template <class... Args>
+  void construct(T* p, Args&&... args) noexcept(
+      std::is_nothrow_constructible_v<T, Args...>) {
+    if constexpr (sizeof...(Args) != 0 || !leaves_unwritten_v<T>) {
+      ::new (static_cast<void*>(p)) T(std::forward<Args>(args)...);
+    }
+  }
+
+  template <class U>
+  bool operator==(const PieceAllocator<U>& /*other*/) const noexcept {
+    return true;
+  }
+};
+
+/// One piece per processor at most; see PieceAllocator.
+template <Bisectable P>
+using PieceVector = std::vector<Piece<P>, PieceAllocator<Piece<P>>>;
+
+// The type-erased handle owns its storage, so its pieces are always
+// written when sized: the registry's par:* entries, which partition
+// AnyProblem, still value-initialize a fresh output on the caller thread.
+static_assert(!leaves_unwritten_v<Piece<AnyProblem>>);
+
 /// Algorithm-independent knobs.
 struct PartitionOptions {
   /// Record the full bisection tree (weights + structure).  Disable for
@@ -41,7 +100,7 @@ struct PartitionOptions {
 /// Result of running a load-balancing algorithm.
 template <Bisectable P>
 struct Partition {
-  std::vector<Piece<P>> pieces;   ///< at most N pieces, processors distinct
+  PieceVector<P> pieces;          ///< at most N pieces, processors distinct
   double total_weight = 0.0;      ///< w(p) of the input problem
   std::int32_t processors = 0;    ///< the N that was requested
   std::int64_t bisections = 0;    ///< bisection steps performed

@@ -4,9 +4,10 @@
 //
 //   * the scratch buffers of the algorithm kernels (HF's slot array,
 //     per-slot weights and selection heap; the BA-family frame stack),
-//   * a piece pool that recycles the Partition::pieces storage of finished
-//     trials back into the next partition call (the pool holds the last
-//     result's pieces until the next take, reset or release), and
+//   * a piece pool that recycles the Partition::pieces storage (a
+//     PieceVector<P>) of finished trials back into the next partition call
+//     (the pool holds the last result's pieces until the next take, reset
+//     or release), and
 //   * a MonotonicArena for arena-backed AnyProblem storage (problems too
 //     large for the handle's inline buffer).
 //
@@ -58,8 +59,8 @@ class TrialWorkspace {
   /// previous trial when one is pooled (capacity retained -- no
   /// allocation), otherwise a fresh vector.  Always empty and reserved to
   /// `n`, for kernels that push_back their pieces.
-  LBB_HOT [[nodiscard]] std::vector<Piece<P>> take_pieces(std::size_t n) {
-    std::vector<Piece<P>> pieces = take_live_pieces();
+  LBB_HOT [[nodiscard]] PieceVector<P> take_pieces(std::size_t n) {
+    PieceVector<P> pieces = take_live_pieces();
     pieces.clear();
     // lbb-lint: allow(hot-alloc): recycled buffer -- capacity is retained
     // across trials, so this reserve only allocates until the pool is warm
@@ -70,10 +71,11 @@ class TrialWorkspace {
 
   /// Takes the pooled vector as it is: the last recycled result's pieces
   /// stay alive, so a caller that writes every output slot by index (the
-  /// parallel partitioners) move-assigns over them instead of clearing and
-  /// refilling.  Empty when nothing is pooled.
-  LBB_HOT [[nodiscard]] std::vector<Piece<P>> take_live_pieces() noexcept {
-    return std::exchange(piece_pool_, std::vector<Piece<P>>());
+  /// parallel partitioners) writes over them instead of clearing and
+  /// refilling -- constructing in place when core::leaves_unwritten_v holds
+  /// for Piece<P>, move-assigning otherwise.  Empty when nothing is pooled.
+  LBB_HOT [[nodiscard]] PieceVector<P> take_live_pieces() noexcept {
+    return std::exchange(piece_pool_, PieceVector<P>());
   }
 
   /// Returns a finished trial's Partition storage to the pool.  Call after
@@ -101,7 +103,7 @@ class TrialWorkspace {
     slot_weight = std::vector<double>();
     heap = detail::HfHeap();
     frames = std::vector<detail::BaFrame<P>>();
-    piece_pool_ = std::vector<Piece<P>>();
+    piece_pool_ = PieceVector<P>();
     arena_.release();
   }
 
@@ -115,7 +117,7 @@ class TrialWorkspace {
   std::vector<detail::BaFrame<P>> frames;
 
  private:
-  std::vector<Piece<P>> piece_pool_;
+  PieceVector<P> piece_pool_;
   runtime::MonotonicArena arena_;
 };
 

@@ -76,6 +76,12 @@ static_assert(
     lbb::core::AnyProblem::fits_inline_v<NoisyWeightProblem<SyntheticProblem>>,
     "NoisyWeightProblem<SyntheticProblem> must fit AnyProblem's inline "
     "buffer (allocation-free erased wrap/bisect)");
+static_assert(
+    lbb::core::leaves_unwritten_v<
+        lbb::core::Piece<NoisyWeightProblem<SyntheticProblem>>>,
+    "Piece<NoisyWeightProblem<SyntheticProblem>> must stay trivially "
+    "copyable: the parallel partitioners size its output without writing "
+    "it");
 
 /// The realized (true-weight) performance ratio of a partition computed on
 /// noisy weights.

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <utility>
 
+#include "core/partition.hpp"
 #include "core/problem.hpp"
 #include "problems/alpha_dist.hpp"
 #include "stats/rng.hpp"
@@ -89,5 +90,9 @@ static_assert(sizeof(SyntheticProblem) == 24,
 static_assert(lbb::core::AnyProblem::fits_inline_v<SyntheticProblem>,
               "SyntheticProblem must fit AnyProblem's inline buffer: the "
               "erased hot path relies on allocation-free wrap and bisect");
+static_assert(
+    lbb::core::leaves_unwritten_v<lbb::core::Piece<SyntheticProblem>>,
+    "Piece<SyntheticProblem> must stay trivially copyable: the parallel "
+    "partitioners size its output without writing it");
 
 }  // namespace lbb::problems

@@ -18,8 +18,9 @@
 //      -- never of scheduling.  Work stealing only changes WHEN/WHERE a
 //      frame runs, not WHICH frames run.
 //   2. The output is sized to n before the job starts, and a terminal
-//      over processors [lo, lo+k) move-assigns its i-th piece straight into
-//      out.pieces[lo + i].  Terminal ranges are disjoint, so there are no
+//      over processors [lo, lo+k) constructs its i-th piece straight into
+//      out.pieces[lo + i] (move-assigns it, for a piece that is not
+//      trivially copyable).  Terminal ranges are disjoint, so there are no
 //      write conflicts and no ordering sensitivity.  The sequential kernels
 //      emit pieces in strictly increasing processor order (BA pops the
 //      heavier/low-range child first; HF emits slots in creation order at
@@ -39,20 +40,26 @@
 // terminal records in a caller-thread ParScratch, and the pieces vector
 // can be recycled through a caller TrialWorkspace (the extended
 // perf_alloc_gate_test pins this).  A recycled vector still holds the last
-// result's pieces, so the workspace overload overwrites them in place and
-// sizing the output costs nothing when n is unchanged.  Without a
-// workspace, or when n grows, the missing slots are filled serially with
-// a default-constructed P or with copies of the root problem; a P that is
-// neither default-constructible nor copyable runs the sequential kernel.
-// Tree recording allocates (the tree itself does), exactly like
-// sequential.
+// result's pieces, so the workspace overload writes over them in place.
+// Without a workspace, or when n grows, the output needs new slots.  For a
+// trivially copyable piece (core::leaves_unwritten_v: SyntheticProblem and
+// its noisy wrapper, pinned by static_asserts) core::PieceAllocator sizes
+// them without writing, in O(1), and the terminals' constructions are the
+// first touch of every page -- on the workers, in parallel.  Any other
+// piece (AnyProblem's among them) is filled serially on the caller thread
+// first, with a value-initialized P or with copies of the root problem; a
+// P that is neither default-constructible nor copyable runs the
+// sequential kernel.  Tree recording allocates (the tree itself does),
+// exactly like sequential.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <concepts>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -85,7 +92,9 @@ struct ParOptions {
 struct ParStats {
   std::int64_t spawns = 0;       ///< tasks pushed to deques
   std::int64_t steals = 0;       ///< tasks executed by a non-owner
-  std::int64_t idle_ns = 0;      ///< pool parked-time delta (approximate)
+  /// Worker time inside the call's [inject, join] window not spent running
+  /// the call's tasks: workers x wall minus the tasks' summed run time.
+  std::int64_t idle_ns = 0;
   std::int64_t alloc_count = 0;  ///< worker-side allocations of the job
   std::int64_t alloc_bytes = 0;
   std::int32_t grain = 0;        ///< effective grain used
@@ -182,9 +191,12 @@ template <core::Bisectable P>
 }
 
 /// Runs the sequential kernel over the frame's whole processor sub-range
-/// on this worker, moving its pieces into the output slots.  Absolute
-/// proc_lo/depth go straight through; node ids are local to the terminal's
-/// subtree and remapped by stitch_tree after the join.
+/// on this worker, moving its pieces into the output slots.  A trivially
+/// copyable piece is constructed in place: its slot is unwritten storage
+/// (a fresh output) or a live piece whose destructor is trivial (a
+/// recycled one).  Any other piece is move-assigned over the live slot.
+/// Absolute proc_lo/depth go straight through; node ids are local to the
+/// terminal's subtree and remapped by stitch_tree after the join.
 template <core::Bisectable P>
 void run_terminal(ParJob<P>& job, ParFrame<P> f) {
   // One workspace per (worker thread, problem type); warm after the first
@@ -215,7 +227,12 @@ void run_terminal(ParJob<P>& job, ParFrame<P> f) {
          !job.max_depth.compare_exchange_weak(depth, tmp.max_depth)) {
   }
   const auto count = static_cast<std::int32_t>(tmp.pieces.size());
-  std::move(tmp.pieces.begin(), tmp.pieces.end(), job.pieces + f.proc_lo);
+  if constexpr (core::leaves_unwritten_v<core::Piece<P>>) {
+    std::uninitialized_move(tmp.pieces.begin(), tmp.pieces.end(),
+                            job.pieces + f.proc_lo);
+  } else {
+    std::move(tmp.pieces.begin(), tmp.pieces.end(), job.pieces + f.proc_lo);
+  }
   if (job.spans != nullptr) job.spans[f.proc_lo] = TerminalSpan{f.n, count};
   if (job.record) {
     f.frag->term_lo = f.proc_lo;
@@ -382,21 +399,18 @@ struct ParScratch {
   TaskSlot root_slot;
 };
 
-/// Makes `pieces` exactly n long for the terminals to overwrite.  Live
+/// Makes `pieces` exactly n long for the terminals to write.  Live
 /// entries (a recycled result) are kept as overwrite targets; a shorter
-/// buffer is topped up with a default-constructed P or copies of `root`.
+/// buffer grows by unwritten slots (core::leaves_unwritten_v, O(1)) or is
+/// topped up serially with a value-initialized P or copies of `root`.
 template <core::Bisectable P>
-void size_for_overwrite(std::vector<core::Piece<P>>& pieces, std::size_t n,
+void size_for_overwrite(core::PieceVector<P>& pieces, std::size_t n,
                         const P& root) {
-  if (pieces.size() > n) {
-    pieces.erase(pieces.begin() + static_cast<std::ptrdiff_t>(n),
-                 pieces.end());
-  } else if (pieces.size() < n) {
-    if constexpr (std::default_initializable<P>) {
-      pieces.resize(n);
-    } else {
-      pieces.resize(n, core::Piece<P>{root});
-    }
+  if constexpr (core::leaves_unwritten_v<core::Piece<P>> ||
+                std::default_initializable<P>) {
+    pieces.resize(n);
+  } else if (pieces.size() != n) {
+    pieces.resize(n, core::Piece<P>{root});
   }
 }
 
@@ -405,7 +419,7 @@ void size_for_overwrite(std::vector<core::Piece<P>>& pieces, std::size_t n,
 /// tail.  Terminal ranges tile [0, n), so every record read was written by
 /// this call.
 template <core::Bisectable P>
-void close_gaps(std::vector<core::Piece<P>>& pieces,
+void close_gaps(core::PieceVector<P>& pieces,
                 const TerminalSpan* spans) {
   const auto n = static_cast<std::int32_t>(pieces.size());
   auto dst = pieces.begin();
@@ -465,7 +479,7 @@ template <core::Bisectable P>
   job.spans = gaps ? scratch.spans.data() : nullptr;
   if (record) job.frag_arena.resize(pool.size());
 
-  const std::int64_t idle_before = pool.idle_ns_total();
+  const auto start = std::chrono::steady_clock::now();
   TaskSlot& root = scratch.root_slot;
   ::new (static_cast<void*>(root.payload)) ParFrame<P>{
       &job, std::move(problem), out.total_weight, n, 0, 0,
@@ -475,10 +489,15 @@ template <core::Bisectable P>
   job.pending.store(1);
   pool.inject(&root, &job);
   job.wait();
+  const std::int64_t wall_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
 
   if (std::exception_ptr err = job.take_error()) {
-    // The half-written output dies with `out`; a workspace caller's next
-    // call starts from a fresh buffer.
+    // The half-written output dies with `out` (slots left unwritten hold
+    // trivially destructible pieces, so destroying them reads nothing); a
+    // workspace caller's next call starts from a fresh buffer.
     std::rethrow_exception(err);
   }
 
@@ -495,7 +514,9 @@ template <core::Bisectable P>
   if (stats != nullptr) {
     stats->spawns = job.spawns.load();
     stats->steals = job.steals.load();
-    stats->idle_ns = pool.idle_ns_total() - idle_before;
+    stats->idle_ns = std::max<std::int64_t>(
+        0, static_cast<std::int64_t>(pool.size()) * wall_ns -
+               job.busy_ns.load());
     stats->alloc_count = job.alloc_count.load();
     stats->alloc_bytes = job.alloc_bytes.load();
     stats->grain = grain;

@@ -258,13 +258,20 @@ void WorkStealingPool::execute(TaskSlot* slot, bool stolen) noexcept {
   if (stolen) job->steals.fetch_add(1, std::memory_order_relaxed);
   // Allocation counters are per-thread (stats/alloc_stats.hpp), so the
   // delta around the execution attributes worker-side allocations to the
-  // job -- the caller cannot observe them from its own thread.
+  // job -- the caller cannot observe them from its own thread.  The run
+  // time is summed into the job too; the caller derives its own idle time
+  // from it (ParStats::idle_ns).
   const auto allocs_before = lbb::stats::alloc_stats();
+  const auto start = std::chrono::steady_clock::now();
   try {
     slot->run(slot);
   } catch (...) {
     job->record_error(std::current_exception());
   }
+  job->busy_ns.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count(),
+                         std::memory_order_relaxed);
   const auto allocs = lbb::stats::alloc_stats() - allocs_before;
   if (allocs.count != 0) {
     job->alloc_count.fetch_add(allocs.count, std::memory_order_relaxed);
@@ -289,8 +296,6 @@ void WorkStealingPool::worker_loop(Worker& self) {
       continue;
     }
     if (stop_.load()) return;  // queues drained and shutting down
-    const bool count_idle = live_jobs_.load(std::memory_order_relaxed) > 0;
-    const auto idle_start = std::chrono::steady_clock::now();
     {
       core::CvLock lock(park_mu_);
       parked_.fetch_add(1);
@@ -301,12 +306,6 @@ void WorkStealingPool::worker_loop(Worker& self) {
         return stop_.load() || epoch_.load() != epoch;
       });
       parked_.fetch_sub(1);
-    }
-    if (count_idle) {
-      const auto idle_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - idle_start)
-                               .count();
-      idle_ns_.fetch_add(idle_ns, std::memory_order_relaxed);
     }
   }
 }

@@ -156,6 +156,7 @@ class ParJobBase {
   std::atomic<std::int64_t> bisections{0};   ///< algorithm-level counter
   std::atomic<std::int64_t> alloc_count{0};  ///< worker-side allocations
   std::atomic<std::int64_t> alloc_bytes{0};  ///< attributed to this job
+  std::atomic<std::int64_t> busy_ns{0};      ///< summed task run time
   std::atomic<bool> failed{false};           ///< a task threw; bail early
   WorkStealingPool* pool = nullptr;          ///< set by inject()
 
@@ -213,15 +214,6 @@ class WorkStealingPool {
   /// its pending/spawn accounting and inline-execute).
   [[nodiscard]] bool push_local(Worker& worker, TaskSlot* slot) noexcept;
 
-  /// Cumulative nanoseconds workers spent parked while at least one job
-  /// was live.  Pool-wide and approximate (parking latency only, not spin
-  /// gaps); callers report the delta across their own job as "par.idle_ns".
-  [[nodiscard]] std::int64_t idle_ns_total() const noexcept {
-    // seq_cst load (free on x86): non-seq_cst orders are confined to
-    // work_stealing.cpp by the lbb-lint memory-order rule.
-    return idle_ns_.load();
-  }
-
   struct Worker {
     WorkStealingPool* pool = nullptr;
     std::int32_t id = 0;
@@ -261,7 +253,6 @@ class WorkStealingPool {
   std::atomic<bool> stop_{false};
 
   std::atomic<std::int64_t> live_jobs_{0};
-  std::atomic<std::int64_t> idle_ns_{0};
 };
 
 }  // namespace lbb::runtime

@@ -183,7 +183,7 @@ TEST(AllocGate, ParBaHfSteadyStateIsAllocationFree) {
   runtime::WorkStealingPool pool(1);
   const BaHfParams params{0.1, 1.0};
   TrialWorkspace<SyntheticProblem> ws;
-  std::vector<Piece<SyntheticProblem>> recycled;
+  PieceVector<SyntheticProblem> recycled;
   const auto run = [&](runtime::ParStats* stats) {
     auto part = runtime::par_ba_hf_partition(pool, make_problem(5), kN,
                                              params, {}, stats);

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -263,22 +265,103 @@ TEST(ParPartition, ExpensiveBisectionProblem) {
 
 TEST(ParPartition, WorkspaceOverloadMatchesAndRecycles) {
   // The recycled pieces are the next call's overwrite targets: a stale
-  // buffer longer than n is cut (500 -> 64, 500 -> 1), a shorter one is
-  // topped up (64 -> 500, 1 -> 500).
+  // buffer longer than n is cut (500 -> 64, 4097 -> 1), a shorter one
+  // grows.  64 -> 500 and 64 -> 4097 outgrow the buffer's capacity, so
+  // the output is the last result's live pieces followed by slots no one
+  // has written yet; 1 -> 500 stays within it.
   WorkStealingPool pool(2);
   core::TrialWorkspace<SyntheticProblem> par_ws;
   core::TrialWorkspace<SyntheticProblem> seq_ws;
   std::uint64_t seed = 11;
-  for (const std::int32_t n : {500, 64, 500, 1, 500}) {
+  for (const std::int32_t n : {64, 500, 64, 4097, 1, 500}) {
     auto seq = core::ba_partition(seq_ws, make_problem(seed), n);
     auto par = par_ba_partition(pool, par_ws, make_problem(seed), n);
-    expect_identical(par, seq,
-                     "seed=" + std::to_string(seed) +
-                         " n=" + std::to_string(n));
+    const std::string label =
+        "seed=" + std::to_string(seed) + " n=" + std::to_string(n);
+    expect_identical(par, seq, label);
+    for (std::size_t i = 0; i < seq.pieces.size(); ++i) {
+      ASSERT_EQ(par.pieces[i].problem.node_hash(),
+                seq.pieces[i].problem.node_hash())
+          << label << " piece " << i;
+    }
     seq_ws.recycle(std::move(seq));
     par_ws.recycle(std::move(par));
     ++seed;
   }
+}
+
+/// Runs par_ba / par_ba_star / par_ba_hf through their workspace-free
+/// overloads (a fresh output per call) and compares each with sequential.
+template <typename P, typename MakeProblem>
+void expect_fresh_outputs_identical(
+    const MakeProblem& make, const core::PartitionOptions& options,
+    std::initializer_list<unsigned> thread_counts,
+    std::initializer_list<std::int32_t> ns) {
+  constexpr double kAlpha = 0.2;
+  const core::BaHfParams params{0.25, 1.0};
+  ParOptions opt;
+  opt.partition = options;
+  for (const unsigned threads : thread_counts) {
+    WorkStealingPool pool(threads);
+    for (const std::int32_t n : ns) {
+      const std::string label =
+          " threads=" + std::to_string(threads) + " n=" + std::to_string(n);
+      core::TrialWorkspace<P> ws;
+      expect_identical(par_ba_partition(pool, make(), n, opt),
+                       core::ba_partition(ws, make(), n, options),
+                       "ba" + label);
+      expect_identical(
+          par_ba_star_partition(pool, make(), n, kAlpha, opt),
+          core::ba_star_partition(ws, make(), n, kAlpha, options),
+          "ba_star" + label);
+      expect_identical(
+          par_ba_hf_partition(pool, make(), n, params, opt),
+          core::ba_hf_partition(ws, make(), n, params, options),
+          "ba_hf" + label);
+    }
+  }
+}
+
+// A fresh Piece<SyntheticProblem> output grows by slots nothing has
+// written (core::PieceAllocator); the terminals are their only writers.
+TEST(ParPartition, FreshUnwrittenOutputByteIdentical) {
+  expect_fresh_outputs_identical<SyntheticProblem>(
+      [] { return make_problem(17); }, {}, {1u, 2u, 4u, 8u},
+      {1, 63, 500, 4097});
+}
+
+// A fresh Piece<AnyProblem> output is value-initialized before the job.
+TEST(ParPartition, FreshValueInitializedOutputByteIdentical) {
+  expect_fresh_outputs_identical<core::AnyProblem>(
+      [] { return core::AnyProblem(make_problem(17)); }, {}, {1u, 2u, 4u, 8u},
+      {1, 63, 500, 4097});
+}
+
+TEST(ParPartition, FreshOutputWithTreeByteIdentical) {
+  core::PartitionOptions record;
+  record.record_tree = true;
+  expect_fresh_outputs_identical<SyntheticProblem>(
+      [] { return make_problem(23); }, record, {4u}, {63, 4097});
+  expect_fresh_outputs_identical<core::AnyProblem>(
+      [] { return core::AnyProblem(make_problem(23)); }, record, {4u},
+      {63, 4097});
+}
+
+TEST(ParPartition, IdleNsCountsOnlyTheCallsOwnWindow) {
+  // Workers that park at the end of one call stay parked through the
+  // caller's pause before the next; that pause is no call's idle time.
+  WorkStealingPool pool(4);
+  ParStats stats;
+  (void)par_ba_partition(pool, make_problem(3), 1 << 14, {}, &stats);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  (void)par_ba_partition(pool, make_problem(4), 1 << 14, {}, &stats);
+  const std::int64_t wall_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_GE(stats.idle_ns, 0);
+  EXPECT_LE(stats.idle_ns, static_cast<std::int64_t>(pool.size()) * wall_ns);
 }
 
 TEST(ParPartition, StatsCountSpawnsAndBisections) {

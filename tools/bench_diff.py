@@ -10,11 +10,17 @@ matched cell the script compares:
 
   * wall_seconds / bisections_per_sec -- timing, judged against a relative
     noise band (default +/-15%): wall-clock numbers from a shared machine
-    jitter, so only excursions beyond the band count as regressions.
+    jitter, so only excursions beyond the band count as regressions.  Only
+    judged when both reports come from machines with the same
+    hardware_concurrency -- a different box runs at a different speed.
   * alloc_count / alloc_bytes -- allocation accounting from the interposing
     probe.  These are near-deterministic (workspace warm-up residue only),
     so ANY increase in alloc_count is flagged: the whole point of the
-    zero-alloc hot path is that this number does not creep back up.
+    zero-alloc hot path is that this number does not creep back up.  The
+    exception is a cell whose thread count exceeds either report's
+    hardware_concurrency: oversubscribed workers warm their thread-local
+    workspaces in a schedule-dependent order, so its delta is printed
+    but not judged.
   * speedup -- par_speedup cells marked is_max_threads carry the measured
     work-stealing speedup at the largest thread count; a drop of more than
     the band (default 15%) is a scaling regression.  Only judged when both
@@ -126,7 +132,8 @@ def main(argv):
         print(f"note: hardware_concurrency differs "
               f"({base_meta.get('hardware_concurrency')} vs "
               f"{cand_meta.get('hardware_concurrency')}); "
-              f"measured speedups are not comparable and are skipped")
+              f"wall/rate timings and measured speedups are not comparable "
+              f"and are skipped")
     # simd_speedup compares vector vs forced-scalar lane kernels; reports
     # from different dispatched ISAs (or a scalar-only run, where the
     # column is identically 1.0) measure different things.  Pre-simd_isa
@@ -138,6 +145,10 @@ def main(argv):
     if base_isa != cand_isa:
         print(f"note: simd_isa differs ({base_isa} vs {cand_isa}); "
               f"simd_speedup is not comparable and is skipped")
+
+    known_hw = [hw for hw in (base_meta.get("hardware_concurrency"),
+                              cand_meta.get("hardware_concurrency"))
+                if hw is not None]
 
     regressions = []
     rows = []
@@ -162,14 +173,17 @@ def main(argv):
         dcount = c.get("alloc_count", 0) - b.get("alloc_count", 0)
         dbytes = c.get("alloc_bytes", 0) - b.get("alloc_bytes", 0)
 
+        oversubscribed = any(threads > hw for hw in known_hw)
+
         verdicts = []
-        # Slower wall time / lower throughput beyond the band = regression.
-        if wall > args.band:
+        # Slower wall time / lower throughput beyond the band = regression,
+        # between reports from the same hardware only.
+        if same_hw and wall > args.band:
             verdicts.append(f"wall {fmt_pct(wall)} > band")
-        if rate < -args.band:
+        if same_hw and rate < -args.band:
             verdicts.append(f"rate {fmt_pct(rate)} < band")
         if (base_meta.get("alloc_probe") and cand_meta.get("alloc_probe")
-                and dcount > 0):
+                and dcount > 0 and not oversubscribed):
             verdicts.append(f"alloc_count +{dcount}")
         # Scaling regression: measured speedup at the top thread count
         # dropped by more than the band relative to the baseline.
@@ -225,6 +239,8 @@ def main(argv):
             regressions.append(label)
         detail = (f"wall {fmt_pct(wall)}  rate {fmt_pct(rate)}  "
                   f"allocs {dcount:+d} ({dbytes:+d} B)")
+        if oversubscribed:
+            detail += " (oversubscribed: allocs not judged)"
         if b.get("batch_speedup", 0) > 0 and c.get("batch_speedup", 0) > 0:
             detail += (f"  batchx "
                        f"{fmt_pct(rel_change(b['batch_speedup'], c['batch_speedup']))}")

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Tests for bench_diff.py: two reports that share no cell must fail
 (nothing was compared), while one shared cell is enough for a clean pass;
-and the par_speedup speedup_vs_seq gate.  Run directly or via ctest (test
-name: bench_diff_overlap)."""
+the par_speedup speedup_vs_seq gate; the wall band, judged on matching
+hardware only; and alloc counts, not judged in oversubscribed cells.  Run
+directly or via ctest (test name: bench_diff_overlap)."""
 
 import json
 import os
@@ -81,6 +82,45 @@ class SpeedupVsSeq(DiffCase):
         code, out = self.diff(speedup_report(4),
                               speedup_report(4, speedup_vs_seq=1.0))
         self.assertEqual(code, 0, out)
+
+
+def cell_report(hardware_concurrency, threads=4, **fields):
+    return {"benchmark": "par_speedup", "alloc_probe": True,
+            "hardware_concurrency": hardware_concurrency,
+            "experiments": [{"name": "par:ba", "cells": [
+                dict(algo="par:ba", log2_n=17, threads=threads, **fields)]}]}
+
+
+class WallBand(DiffCase):
+
+    def test_slower_on_same_hardware_fails(self):
+        code, out = self.diff(cell_report(4, wall_seconds=1.0),
+                              cell_report(4, wall_seconds=1.3))
+        self.assertEqual(code, 1, out)
+        self.assertIn("wall +30.0% > band", out)
+
+    def test_other_hardware_is_a_note(self):
+        code, out = self.diff(cell_report(1, wall_seconds=1.0),
+                              cell_report(4, wall_seconds=1.3))
+        self.assertEqual(code, 0, out)
+        self.assertIn("hardware_concurrency differs", out)
+        self.assertIn("wall +30.0%", out)
+
+
+class OversubscribedAllocs(DiffCase):
+
+    def test_increase_within_core_count_fails(self):
+        code, out = self.diff(cell_report(4, threads=4, alloc_count=10),
+                              cell_report(4, threads=4, alloc_count=13))
+        self.assertEqual(code, 1, out)
+        self.assertIn("alloc_count +3", out)
+
+    def test_increase_when_oversubscribed_is_printed_only(self):
+        code, out = self.diff(cell_report(4, threads=8, alloc_count=10),
+                              cell_report(4, threads=8, alloc_count=13))
+        self.assertEqual(code, 0, out)
+        self.assertIn("allocs +3", out)
+        self.assertIn("oversubscribed", out)
 
 
 if __name__ == "__main__":
