@@ -24,9 +24,10 @@
 // --smoke runs a reduced closed loop plus two self-checks and writes no
 // JSON: (1) for each algorithm, a cache hit must be byte-identical to the
 // miss that filled it AND to a fresh cache-bypassing compute; (2) with the
-// allocation probe linked, warm serving must be allocation-free on both
-// the caller and the worker side.  tools/check_determinism.sh runs this
-// mode.
+// allocation probe linked, warm serving must be allocation-free.  A hit is
+// answered inside submit() on the caller thread, so the caller-side count
+// covers the whole hit, and the worker-side count stays zero because no
+// hit reaches a worker.  tools/check_determinism.sh runs this mode.
 //
 // The JSON mirrors BENCH_par_speedup.json: one experiment per algorithm,
 // one inline cell keyed by (algo, log2_n, threads=workers).  Every number
@@ -235,7 +236,8 @@ bool smoke_identity(const LoadPlan& plan, const std::string& algo) {
   return true;
 }
 
-/// Warm serving must be allocation-free on both sides of the queue.
+/// Warm serving must be allocation-free: on the caller thread, which
+/// answers every hit, and on the worker, which no hit reaches.
 bool smoke_zero_alloc(const LoadPlan& plan) {
   service::ServiceConfig cfg = service_config(plan);
   cfg.workers = 1;
@@ -277,8 +279,9 @@ bool smoke_zero_alloc(const LoadPlan& plan) {
   }
   if (after.alloc_count - before.alloc_count != 0) {
     return smoke_fail(
-        "worker-side warm serving allocated " +
-        std::to_string(after.alloc_count - before.alloc_count) + " times");
+        "a worker allocated " +
+        std::to_string(after.alloc_count - before.alloc_count) +
+        " times during warm hits, which never reach a worker");
   }
   return true;
 }

@@ -138,19 +138,31 @@ bool PartitionService::try_submit(PartitionRequest& req) {
   req.enqueue_ = Clock::now();
   req.state_.store(raw(ServiceStatus::kPending));
 
+  // Bypassing, cancelled and expired requests skip the lookup and take the
+  // queue as before; the worker completes them.
+  const bool lookup = !req.bypass_cache && !expired(req, req.enqueue_);
+  std::shared_ptr<const PartitionResult> hit;
+  Outcome served = Outcome::kMiss;
   ServiceStatus refusal = ServiceStatus::kRejected;
   {
     core::MutexLock lock(mu_);
     if (stop_) {
       refusal = ServiceStatus::kShutdown;
       ++counters_.shutdown_drained;
-    } else if (queue_size_ == ring_.size()) {
-      ++counters_.rejected;
     } else {
-      ring_[(queue_head_ + queue_size_) % ring_.size()] = &req;
-      ++queue_size_;
-      ++counters_.submitted;
-      refusal = ServiceStatus::kPending;
+      // A hit or a same-key follower needs no queue slot, so a full queue
+      // refuses only true misses.
+      if (lookup) served = lookup_locked(req, hit);
+      if (served != Outcome::kMiss) {
+        refusal = ServiceStatus::kPending;
+      } else if (queue_size_ == ring_.size()) {
+        ++counters_.rejected;
+      } else {
+        ring_[(queue_head_ + queue_size_) % ring_.size()] = &req;
+        ++queue_size_;
+        refusal = ServiceStatus::kPending;
+      }
+      if (refusal == ServiceStatus::kPending) ++counters_.submitted;
     }
   }
   if (refusal != ServiceStatus::kPending) {
@@ -158,7 +170,11 @@ bool PartitionService::try_submit(PartitionRequest& req) {
     req.state_.notify_all();
     return false;
   }
-  queue_cv_.notify_one();
+  if (served == Outcome::kHit) {
+    complete(&req, ServiceStatus::kOk, std::move(hit), Outcome::kHit);
+  } else if (served == Outcome::kMiss) {
+    queue_cv_.notify_one();
+  }
   return true;
 }
 
@@ -235,9 +251,10 @@ void PartitionService::worker_loop(WorkerState& self) {
 
 void PartitionService::handle(WorkerState& self, PartitionRequest* req) {
   // Attribute this worker's heap traffic to the request it served.  Warm
-  // cache hits must contribute zero (the perf alloc gate pins this);
-  // misses pay for the cached result and its cache node, which is the
-  // cold path by definition.
+  // hits are answered on the caller's thread and never get here (the perf
+  // alloc gate pins the worker-side count to zero across them); a miss
+  // pays for its result block and pieces vector, plus a cache node while
+  // the cache is still filling.
   const stats::AllocStats before = stats::alloc_stats();
   dispatch(self, req);
   const stats::AllocStats delta = stats::alloc_stats() - before;
@@ -247,67 +264,73 @@ void PartitionService::handle(WorkerState& self, PartitionRequest* req) {
   }
 }
 
+bool PartitionService::expired(const PartitionRequest& req,
+                               Clock::time_point now) noexcept {
+  return (req.cancel != nullptr && req.cancel->cancelled()) ||
+         (req.has_deadline_ && now > req.deadline_);
+}
+
+PartitionService::Outcome PartitionService::lookup_locked(
+    PartitionRequest& req, std::shared_ptr<const PartitionResult>& hit) {
+  if (config_.cache_enabled) {
+    auto it = cache_.find(req.key_);
+    if (it != cache_.end()) {
+      hit = it->second.result;
+      // Second chance: a hit entry survives the next sweep pass.
+      clock_[it->second.slot].referenced = true;
+      return Outcome::kHit;
+    }
+  }
+  // Single-flight: a same-key compute already running absorbs this request;
+  // the computing worker completes it with the shared result.
+  for (Batch* batch : inflight_) {
+    if (batch->key == req.key_) {
+      req.batch_next_ = batch->head;
+      batch->head = &req;
+      // Counted at attach (not completion) so the batcher's effect is
+      // observable while the batch is still computing.
+      ++counters_.coalesced;
+      return Outcome::kCoalesced;
+    }
+  }
+  return Outcome::kMiss;
+}
+
 void PartitionService::dispatch(WorkerState& self, PartitionRequest* req) {
-  const auto now = Clock::now();
-  if ((req->cancel != nullptr && req->cancel->cancelled()) ||
-      (req->has_deadline_ && now > req->deadline_)) {
+  if (expired(*req, Clock::now())) {
     complete(req, ServiceStatus::kCancelled, nullptr, Outcome::kNone);
     return;
   }
+  // The batch lives on this worker's stack; other threads reach it only
+  // through inflight_ under mu_, and compute_batch unregisters it (under
+  // mu_) before this frame unwinds, so the escape is bounded.
+  Batch batch;
+  batch.key = req->key_;
+  batch.head = req;
   if (!req->bypass_cache) {
     std::shared_ptr<const PartitionResult> hit;
-    bool attached = false;
+    Outcome served = Outcome::kMiss;
     {
       core::MutexLock lock(mu_);
-      if (config_.cache_enabled) {
-        auto it = cache_.find(req->key_);
-        if (it != cache_.end()) {
-          hit = it->second.result;
-          // Second chance: a hit entry survives the next sweep pass.
-          clock_[it->second.slot].referenced = true;
-        }
-      }
-      if (hit == nullptr) {
-        // Single-flight: a same-key compute already running absorbs this
-        // request; the computing worker completes it with the shared
-        // result.
-        for (Batch* batch : inflight_) {
-          if (batch->key == req->key_) {
-            req->batch_next_ = batch->head;
-            batch->head = req;
-            attached = true;
-            // Counted at attach (not completion) so the batcher's effect
-            // is observable while the batch is still computing.
-            ++counters_.coalesced;
-            break;
-          }
-        }
-      }
+      // Looked up again: while the request sat in the queue its key may
+      // have been cached, or a batch for it started.  A miss registers its
+      // batch in the same critical section, so no same-key request can
+      // start a second compute.
+      served = lookup_locked(*req, hit);
+      if (served == Outcome::kMiss) inflight_.push_back(&batch);
     }
-    if (hit != nullptr) {
+    if (served == Outcome::kHit) {
       complete(req, ServiceStatus::kOk, std::move(hit), Outcome::kHit);
       return;
     }
-    if (attached) return;
+    if (served == Outcome::kCoalesced) return;
   }
-  compute_batch(self, req);
+  compute_batch(self, req, batch);
 }
 
 void PartitionService::compute_batch(WorkerState& self,
-                                     PartitionRequest* root) {
-  // The batch lives on this worker's stack; other workers reach it only
-  // through inflight_ under mu_, and it is unregistered (under mu_) before
-  // this frame unwinds, so the escape is bounded.
-  Batch batch;
-  batch.key = root->key_;
-  batch.head = root;
-  root->batch_next_ = nullptr;
+                                     PartitionRequest* root, Batch& batch) {
   const bool share = !root->bypass_cache;
-  if (share) {
-    core::MutexLock lock(mu_);
-    inflight_.push_back(&batch);
-  }
-
   std::shared_ptr<const PartitionResult> result;
   ServiceStatus status = ServiceStatus::kOk;
   std::string error;
@@ -328,10 +351,9 @@ void PartitionService::compute_batch(WorkerState& self,
     }
     // After unregistration nothing new can attach; the head is final.
     head = batch.head;
-    if (share && status == ServiceStatus::kOk && config_.cache_enabled &&
-        cache_.find(batch.key) == cache_.end()) {
-      // (The find() guards the unlocked window between dispatch's miss and
-      // this insert: a racing worker may have cached the key meanwhile.)
+    // While the batch was registered no other compute of its key could
+    // start, so the key is not cached yet.
+    if (share && status == ServiceStatus::kOk && config_.cache_enabled) {
       if (cache_.size() < config_.cache_capacity) {
         const std::size_t slot = clock_.size();
         clock_.push_back(ClockSlot{batch.key, false});
@@ -346,10 +368,15 @@ void PartitionService::compute_batch(WorkerState& self,
           clock_[clock_hand_].referenced = false;
           clock_hand_ = (clock_hand_ + 1) % clock_.size();
         }
-        cache_.erase(clock_[clock_hand_].key);
+        // The victim's hash node is re-keyed and re-inserted rather than
+        // freed and reallocated: a miss into a full cache allocates only
+        // its result.
+        auto node = cache_.extract(clock_[clock_hand_].key);
+        node.key() = batch.key;
+        node.mapped() = CacheEntry{result, clock_hand_};
+        cache_.insert(std::move(node));
         ++counters_.cache_evictions;
         clock_[clock_hand_] = ClockSlot{batch.key, false};
-        cache_.emplace(batch.key, CacheEntry{result, clock_hand_});
         clock_hand_ = (clock_hand_ + 1) % clock_.size();
       }
     }
@@ -366,8 +393,7 @@ void PartitionService::compute_batch(WorkerState& self,
     if (status != ServiceStatus::kOk) {
       req->error_ = error;
       complete(req, ServiceStatus::kError, nullptr, outcome);
-    } else if ((req->cancel != nullptr && req->cancel->cancelled()) ||
-               (req->has_deadline_ && now > req->deadline_)) {
+    } else if (expired(*req, now)) {
       // Cancelled while the batch computed: the requester gets kCancelled,
       // but the computed value is still correct for the key and stays
       // cached -- cancellation never poisons the cache.

@@ -4,14 +4,20 @@
 //
 // Request lifecycle:
 //
-//   caller                 service worker threads
-//   ------                 ----------------------
-//   PartitionRequest req   pop from the bounded ring
-//   submit(req) ───────►   1. cancelled/expired?  -> kCancelled
-//     (kRejected when      2. memo-cache lookup   -> kOk (hit)
-//      the ring is full)   3. same key in flight? -> attach to that batch
-//   req.wait()             4. else compute once, fill the cache, complete
-//     ◄─────────────────      every request the batch coalesced
+//   caller thread, inside submit(req)    service worker threads
+//   ---------------------------------    ----------------------
+//   stopped?            -> kShutdown     pop from the bounded ring
+//   memo-cache lookup   -> kOk (hit)     1. cancelled/expired? -> kCancelled
+//   same key in flight? -> attach to     2. lookup + attach again (the key
+//                          that batch       may have been cached, or its
+//   else ring full?     -> kRejected        batch started, while queued)
+//   else push to the ring ──────────►    3. else compute once, fill the
+//   req.wait()                              cache, complete every request
+//     ◄──────────────────────────────       the batch coalesced
+//
+// Bypassing, already-cancelled and expired requests skip the caller-side
+// lookup and always take the ring.  One helper (lookup_locked) does the
+// lookup and the attach on both sides, under the same lock.
 //
 // Determinism & memoization: requests are canonicalized into a
 // core::PartitionCacheKey (quantized alpha-band; see core/cache_key.hpp)
@@ -21,16 +27,18 @@
 // The `service` ctest suite asserts this for every deterministic
 // partitioner family.
 //
-// Allocation contract: warm serving (cache hits) is allocation-free on
-// both sides -- the ring, the batcher's in-flight table, the latency
-// reservoir and the completion protocol (C++20 atomic wait/notify) are all
-// preallocated, and a hit only copies a shared_ptr.  Worker-side
-// allocations are measured per request (stats/alloc_stats.hpp) and
-// surface as ServiceStats::alloc_count, which the perf alloc gate pins to
-// zero in the warm steady state.  Misses allocate (the cached result, the
-// cache node): that is the cold path by definition.
+// Allocation contract: a warm cache hit is allocation-free.  It is served
+// whole on the caller's thread -- a hash lookup, a shared_ptr copy, and the
+// completion protocol (C++20 atomic wait/notify) over a preallocated latency
+// reservoir -- and never reaches a worker.  Worker-side allocations are
+// measured per request (stats/alloc_stats.hpp) and surface as
+// ServiceStats::alloc_count; the perf alloc gate pins the caller side and
+// the worker side to zero across warm hits.  A miss allocates its result
+// (the PartitionResult block and its pieces vector): that is the cost of
+// owning a shared answer.  Into a full cache it reuses the evicted entry's
+// hash node, so only the first fill of each slot allocates a node.
 //
-// Tail latency: every served request records enqueue-to-completion time in
+// Tail latency: every served request records submit-to-completion time in
 // a stats::PercentileReservoir; snapshot() / report() expose p50/p95/p99
 // and partitions/sec, which `lbb_bench serve_load` writes into
 // BENCH_serve_load.json via a MetricsSink (tools/bench_diff.py tracks the
@@ -136,8 +144,8 @@ class PartitionRequest {
   RequestSpec spec;
 
   /// Optional cooperative cancellation (not owned; may be nullptr).
-  /// Checked when the request is popped and again when its batch
-  /// completes: firing mid-batch yields kCancelled without poisoning the
+  /// Checked at submit (a fired token skips the caller-side lookup), when
+  /// the request is popped, and again when its batch completes: firing mid-batch yields kCancelled without poisoning the
   /// cache -- the computed value is still valid for the key.
   const core::CancelToken* cancel = nullptr;
 
@@ -166,7 +174,8 @@ class PartitionRequest {
   [[nodiscard]] bool served_from_cache() const noexcept {
     return from_cache_;
   }
-  /// Enqueue-to-completion latency of the last run (milliseconds).
+  /// Submit-to-completion latency of the last run (milliseconds).  For a
+  /// hit answered inside submit() this is the lookup itself.
   [[nodiscard]] double latency_ms() const noexcept {
     return latency_ns_ / 1e6;
   }
@@ -200,8 +209,9 @@ class PartitionRequest {
 struct ServiceConfig {
   /// Worker threads (0 = hardware_concurrency, min 1).
   std::int32_t workers = 0;
-  /// Bounded request-queue capacity; submissions beyond it are rejected
-  /// with a typed error (admission control), never queued unboundedly.
+  /// Bounded request-queue capacity; misses beyond it are rejected with a
+  /// typed error (admission control), never queued unboundedly.  Hits and
+  /// same-key followers take no slot.
   std::int32_t queue_capacity = 1024;
   /// Memoization cache on/off and entry bound.  At capacity, a new entry
   /// evicts a cold one by second-chance (clock): a hit sets the entry's
@@ -260,9 +270,13 @@ class PartitionService {
   PartitionService(const PartitionService&) = delete;
   PartitionService& operator=(const PartitionService&) = delete;
 
-  /// Enqueues `req`.  Returns false -- with req.status() kRejected or
-  /// kShutdown already final -- when admission control refuses; true means
-  /// the caller must req.wait() before reusing or destroying the block.
+  /// Submits `req`.  A cache hit is answered on the calling thread, so
+  /// true may mean the request is already final (kOk); a same-key request
+  /// joins the batch computing it; only a true miss takes a queue slot.
+  /// Hits and joins therefore bypass admission control.  Returns false --
+  /// with req.status() kRejected or kShutdown already final -- when the
+  /// queue is full for a miss or the service is stopped; true means the
+  /// caller must req.wait() before reusing or destroying the block.
   /// Throws std::invalid_argument for malformed specs (unknown-size algo
   /// name, n < 1, empty alpha band) before the request is queued.
   [[nodiscard]] bool try_submit(PartitionRequest& req) LBB_EXCLUDES(mu_);
@@ -303,7 +317,7 @@ class PartitionService {
 
   /// An in-flight compute: one leader request plus every same-key request
   /// that arrived while it ran.  Lives on the computing worker's stack;
-  /// reachable from other workers only through inflight_ (under mu_).
+  /// reachable from other threads only through inflight_ (under mu_).
   struct Batch {
     core::PartitionCacheKey key;
     PartitionRequest* head = nullptr;
@@ -335,7 +349,18 @@ class PartitionService {
   void worker_loop(WorkerState& self);
   void handle(WorkerState& self, PartitionRequest* req);
   void dispatch(WorkerState& self, PartitionRequest* req);
-  void compute_batch(WorkerState& self, PartitionRequest* root);
+  /// The one cache lookup, called by try_submit and by dispatch: kHit sets
+  /// `hit` (and the entry's referenced bit), kCoalesced has linked `req`
+  /// into the running same-key batch, kMiss means neither.
+  [[nodiscard]] Outcome lookup_locked(
+      PartitionRequest& req, std::shared_ptr<const PartitionResult>& hit)
+      LBB_REQUIRES(mu_);
+  /// Computes `batch.key` for `root` and completes every request in the
+  /// batch.  A shared batch is registered in inflight_ by the caller.
+  void compute_batch(WorkerState& self, PartitionRequest* root,
+                     Batch& batch);
+  [[nodiscard]] static bool expired(const PartitionRequest& req,
+                                    Clock::time_point now) noexcept;
   [[nodiscard]] std::shared_ptr<const PartitionResult> compute(
       WorkerState& self, const core::PartitionCacheKey& key);
   [[nodiscard]] const core::Partitioner& partitioner_for(

@@ -1,7 +1,8 @@
 // Tests for the resident PartitionService (src/service/): cache-hit /
 // cache-miss byte identity across every registered partitioner family,
-// single-flight batching, admission control, cancellation under load
-// (queued and mid-batch, without cache poisoning), shutdown draining, and
+// single-flight batching, hits served on the caller's thread, admission
+// control, cancellation under load (queued and mid-batch, without cache
+// poisoning), shutdown draining, eviction's node reuse, and
 // stats/reporting.  The `service` ctest label groups these; the
 // determinism harness runs them alongside `lbb_bench serve_load --smoke`.
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include "core/workspace.hpp"
 #include "service/partition_service.hpp"
 #include "sim/partitioners.hpp"
+#include "stats/alloc_stats.hpp"
 
 namespace lbb::service {
 namespace {
@@ -291,6 +293,45 @@ TEST(PartitionService, ClockSweepWrapsWhenEveryEntryIsReferenced) {
   EXPECT_TRUE(three.served_from_cache());
 }
 
+TEST(PartitionService, EvictingMissReusesTheVictimsCacheNode) {
+  if (!stats::alloc_probe_linked()) GTEST_SKIP() << "alloc probe not linked";
+  ServiceConfig cfg = small_config(1);
+  cfg.cache_capacity = 1;
+  PartitionService svc(cfg);
+  // Bypassing computes of both keys create the partitioner and size the
+  // worker's workspace, so the two measured misses differ only in what
+  // the cache itself allocates.
+  for (std::uint64_t seed : {1u, 2u}) {
+    PartitionRequest warm;
+    warm.spec = spec_for("ba", seed);
+    warm.bypass_cache = true;
+    svc.submit(warm);
+    ASSERT_EQ(warm.wait(), ServiceStatus::kOk);
+  }
+  const auto worker_allocs = [&](std::uint64_t seed) {
+    const std::int64_t before = svc.snapshot().alloc_count;
+    (void)svc.call(spec_for("ba", seed));
+    return svc.snapshot().alloc_count - before;
+  };
+  const std::int64_t filling = worker_allocs(1);
+  const std::int64_t evicting = worker_allocs(2);
+  EXPECT_EQ(svc.snapshot().cache_evictions, 1);
+  EXPECT_EQ(svc.snapshot().cache_entries, 1);
+  EXPECT_EQ(filling - evicting, 1)
+      << "filling miss allocated " << filling << ", evicting miss "
+      << evicting;
+  // The re-keyed node serves the new key, and the old key is gone.
+  PartitionRequest two, one;
+  two.spec = spec_for("ba", 2);
+  ASSERT_TRUE(svc.try_submit(two));
+  EXPECT_EQ(two.status(), ServiceStatus::kOk);
+  EXPECT_TRUE(two.served_from_cache());
+  one.spec = spec_for("ba", 1);
+  svc.submit(one);
+  ASSERT_EQ(one.wait(), ServiceStatus::kOk);
+  EXPECT_FALSE(one.served_from_cache());
+}
+
 // ---------------------------------------------------------------------------
 // Batching (single-flight coalescing)
 
@@ -319,6 +360,165 @@ TEST(PartitionService, CoalescesSameKeyRequestsIntoOneCompute) {
   EXPECT_TRUE(follower.served_from_cache());
   EXPECT_EQ(follower.result().get(), leader.result().get());
   EXPECT_EQ(gate->entered.load(), 1);  // one compute served both
+}
+
+// ---------------------------------------------------------------------------
+// Caller-side hits: answered inside try_submit, never queued
+
+TEST(PartitionService, CachedKeyIsServedWhileTheOnlyWorkerIsBlocked) {
+  auto gate = install_gate();
+  PartitionService svc(small_config(1));
+  const auto cached = svc.call(spec_for("ba", 5));
+
+  PartitionRequest blocker;
+  blocker.spec = spec_for("svc_test:gate");
+  svc.submit(blocker);
+  ASSERT_TRUE(eventually([&] { return gate->entered.load() == 1; }));
+
+  // No worker is free, so only the caller's thread can answer this.
+  PartitionRequest hit;
+  hit.spec = spec_for("ba", 5);
+  // (EXPECT, not ASSERT, until the gate opens: an early return would leave
+  // the worker blocked and the service's destructor waiting on it.)
+  EXPECT_TRUE(svc.try_submit(hit));
+  EXPECT_EQ(hit.status(), ServiceStatus::kOk);
+  EXPECT_TRUE(hit.served_from_cache());
+  EXPECT_EQ(hit.result().get(), cached.get());
+  EXPECT_EQ(blocker.status(), ServiceStatus::kPending);
+
+  gate->open.store(true);
+  EXPECT_EQ(blocker.wait(), ServiceStatus::kOk);
+}
+
+TEST(PartitionService, FullQueueStillServesCachedKeys) {
+  auto gate = install_gate();
+  ServiceConfig cfg = small_config(1);
+  cfg.queue_capacity = 1;
+  PartitionService svc(cfg);
+  (void)svc.call(spec_for("ba", 5));
+
+  PartitionRequest blocker, queued;
+  blocker.spec = spec_for("svc_test:gate");
+  svc.submit(blocker);
+  ASSERT_TRUE(eventually([&] { return gate->entered.load() == 1; }));
+  queued.spec = spec_for("ba", 6);
+  EXPECT_TRUE(svc.try_submit(queued));  // the one queue slot
+
+  const std::int64_t rejected = svc.snapshot().rejected;
+  PartitionRequest hit;
+  hit.spec = spec_for("ba", 5);
+  EXPECT_TRUE(svc.try_submit(hit));
+  EXPECT_EQ(hit.status(), ServiceStatus::kOk);
+  EXPECT_TRUE(hit.served_from_cache());
+  EXPECT_EQ(svc.snapshot().rejected, rejected);
+
+  // The queue really is full: a miss is still refused.
+  PartitionRequest overflow;
+  overflow.spec = spec_for("ba", 7);
+  EXPECT_FALSE(svc.try_submit(overflow));
+  EXPECT_EQ(overflow.status(), ServiceStatus::kRejected);
+  EXPECT_EQ(svc.snapshot().rejected, rejected + 1);
+
+  gate->open.store(true);
+  EXPECT_EQ(blocker.wait(), ServiceStatus::kOk);
+  EXPECT_EQ(queued.wait(), ServiceStatus::kOk);
+}
+
+TEST(PartitionService, CancelledOrExpiredCachedKeyIsStillCancelled) {
+  PartitionService svc(small_config(1));
+  (void)svc.call(spec_for("ba", 5));
+
+  core::CancelToken token;
+  token.cancel();
+  PartitionRequest cancelled;
+  cancelled.spec = spec_for("ba", 5);
+  cancelled.cancel = &token;
+  svc.submit(cancelled);
+  EXPECT_EQ(cancelled.wait(), ServiceStatus::kCancelled);
+  EXPECT_EQ(cancelled.result(), nullptr);
+  EXPECT_FALSE(cancelled.served_from_cache());
+
+  PartitionRequest expired;
+  expired.spec = spec_for("ba", 5);
+  expired.set_deadline_after(1e-6);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  svc.submit(expired);
+  EXPECT_EQ(expired.wait(), ServiceStatus::kCancelled);
+  EXPECT_EQ(expired.result(), nullptr);
+  EXPECT_FALSE(expired.served_from_cache());
+
+  const ServiceStats stats = svc.snapshot();
+  EXPECT_EQ(stats.cancelled, 2);
+  EXPECT_EQ(stats.cache_hits, 0);
+}
+
+TEST(PartitionService, StoppedServiceRefusesCachedKeys) {
+  PartitionService svc(small_config(1));
+  (void)svc.call(spec_for("ba", 5));
+  svc.stop();
+  PartitionRequest late;
+  late.spec = spec_for("ba", 5);
+  EXPECT_FALSE(svc.try_submit(late));
+  EXPECT_EQ(late.status(), ServiceStatus::kShutdown);
+  EXPECT_EQ(late.result(), nullptr);
+  EXPECT_EQ(svc.snapshot().cache_hits, 0);
+}
+
+TEST(PartitionService, CountersBalanceAfterAMixedRun) {
+  auto gate = install_gate();
+  PartitionService svc(small_config(2));
+
+  // Followers of a running batch join it inside try_submit: coalesced
+  // counts them before try_submit returns.
+  PartitionRequest leader;
+  leader.spec = spec_for("svc_test:gate");
+  svc.submit(leader);
+  ASSERT_TRUE(eventually([&] { return gate->entered.load() == 1; }));
+  std::vector<PartitionRequest> followers(3);
+  for (PartitionRequest& f : followers) {
+    f.spec = spec_for("svc_test:gate");
+    svc.submit(f);
+  }
+  EXPECT_EQ(svc.snapshot().coalesced, 3);
+  gate->open.store(true);
+  ASSERT_EQ(leader.wait(), ServiceStatus::kOk);
+  for (PartitionRequest& f : followers) {
+    ASSERT_EQ(f.wait(), ServiceStatus::kOk);
+    EXPECT_EQ(f.result().get(), leader.result().get());
+  }
+
+  // Concurrent callers over a few keys, every fourth request bypassing.
+  constexpr int kCallers = 3;
+  constexpr int kRounds = 20;
+  std::vector<int> failures(kCallers, 0);
+  {
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        PartitionRequest req;
+        for (int r = 0; r < kRounds; ++r) {
+          req.spec = spec_for("ba", static_cast<std::uint64_t>(r % 4), 64);
+          req.bypass_cache = (r + c) % 4 == 0;
+          if (!svc.try_submit(req) || req.wait() != ServiceStatus::kOk) {
+            ++failures[c];
+          }
+        }
+      });
+    }
+    for (std::thread& t : callers) t.join();
+  }
+  for (int f : failures) EXPECT_EQ(f, 0);
+
+  const ServiceStats stats = svc.snapshot();
+  const std::int64_t total = 1 + 3 + kCallers * kRounds;
+  EXPECT_EQ(stats.submitted, total);
+  EXPECT_EQ(stats.completed, stats.submitted);
+  EXPECT_EQ(stats.served_ok, total);
+  EXPECT_EQ(stats.bypassed, kCallers * kRounds / 4);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.coalesced +
+                stats.bypassed,
+            stats.submitted);
+  EXPECT_EQ(stats.cache_misses, 1 + 4);  // the gate key plus four ba keys
 }
 
 // ---------------------------------------------------------------------------
